@@ -2,7 +2,7 @@
 //! timetable backend's feasibility probe and place/undo splice (the inner
 //! loop of every SGS pass), the cross-point `BoundStore` lookup that every
 //! refinement level performs in a bound-sharing sweep, and the full
-//! evaluator under grid refinement vs. the single exact interval solve.
+//! evaluator under grid refinement vs. the single exact finest-tick solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -33,11 +33,7 @@ fn timetable_bench(c: &mut Criterion) {
     .unwrap()
     .schedule;
 
-    for kind in [
-        TimetableKind::Event,
-        TimetableKind::Dense,
-        TimetableKind::Interval,
-    ] {
+    for kind in [TimetableKind::Event, TimetableKind::Dense] {
         // A realistically occupied timetable: the full heuristic schedule.
         let mut occupied = Timetable::with_kind(&instance, kind);
         for (i, (&start, &mode)) in schedule.starts.iter().zip(&schedule.modes).enumerate() {
@@ -190,7 +186,7 @@ fn bnb_bench(c: &mut Criterion) {
 fn evaluate_policy_bench(c: &mut Criterion) {
     // One full evaluator run on a flagship design point: the paper's grid
     // cascade (a solve per refinement level) against the exact path (the
-    // cascade as a pilot plus one finest-tick interval-backend solve
+    // cascade as a pilot plus one finest-tick event-backend solve
     // seeded with the lifted pilot schedule).
     let workload = Workload::rodinia(WorkloadVariant::Default);
     let soc = SocSpec::new(4).with_gpu(16);

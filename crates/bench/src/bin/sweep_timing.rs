@@ -18,7 +18,7 @@
 //!
 //! A fourth HILP-only sweep runs the optimized configuration under
 //! `EvaluatePolicy::exact()` — the refinement cascade replayed as a pilot,
-//! then one finest-tick solve on the continuous-time interval backend with
+//! then one finest-tick solve on the horizon-independent event backend with
 //! the pilot's schedule lifted in as a verified incumbent — and records
 //! the grid-vs-exact wall-clock speedup.
 //!
@@ -350,7 +350,7 @@ fn main() {
 
     // Fourth sweep: HILP under `EvaluatePolicy::exact()` — the refinement
     // cascade replayed as a pilot, then one finest-tick solve on the
-    // continuous-time interval backend seeded with the lifted pilot
+    // horizon-independent event backend seeded with the lifted pilot
     // schedule. Correctness gate 3: the grid result carries coarse-step
     // rounding the exact path does not, so the exact makespan must never
     // exceed the grid makespan on any point.
@@ -897,7 +897,7 @@ struct ExactRun {
     speedup_baseline_vs_exact: f64,
     points: usize,
     /// Points where the exact makespan is strictly below the grid result
-    /// — coarse-step rounding the interval backend eliminated.
+    /// — coarse-step rounding the finest-tick solve eliminated.
     tightened_points: usize,
 }
 

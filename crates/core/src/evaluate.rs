@@ -90,11 +90,11 @@ impl Default for TimeStepPolicy {
 ///
 /// The paper's grid-refinement loop exists because solving on a coarse
 /// grid is cheap and solving on a fine grid with a *horizon-proportional*
-/// timetable is not. The continuous-time interval backend
-/// ([`TimetableKind::Interval`]) removes that trade-off — its cost is
-/// independent of the horizon — so the exact policy can afford a solve at
-/// the finest resolution, keeping the coarse cascade only as a warm-start
-/// pilot whose result it is guaranteed to match or beat.
+/// timetable is not. The event backend ([`TimetableKind::Event`]) removes
+/// that trade-off — it stores only breakpoints, so its cost is independent
+/// of the horizon — and the exact policy can afford a solve at the finest
+/// resolution, keeping the coarse cascade only as a warm-start pilot whose
+/// result it is guaranteed to match or beat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvaluatePolicy {
     /// The paper's Section III-D loop: start at
@@ -105,7 +105,7 @@ pub enum EvaluatePolicy {
     /// loop stops before the finest step.
     #[default]
     GridRefinement,
-    /// Solve at [`TimeStepPolicy::exact_tick_seconds`] on the interval
+    /// Solve at [`TimeStepPolicy::exact_tick_seconds`] on the event
     /// backend: no early stop at `target_steps` and no residual
     /// coarse-grid rounding. A pilot pass first replays the grid cascade
     /// (same ticks, same warm-order chain, same early stop), and its final
@@ -166,7 +166,7 @@ pub struct Evaluation {
     /// finest-tick solve, which is where the result comes from.
     pub refinements: u32,
     /// The makespan solved directly at the policy's finest resolution on
-    /// the continuous-time interval backend, in seconds — set only under
+    /// the horizon-independent event backend, in seconds — set only under
     /// [`EvaluatePolicy::Exact`] (where it equals `makespan_seconds`).
     /// Grid-refinement results can stop at a coarser step and then carry a
     /// discretization gap of up to one coarse step per critical-path task;
@@ -799,7 +799,6 @@ impl Hilp {
         eat(match self.solver.timetable {
             TimetableKind::Event => 0,
             TimetableKind::Dense => 1,
-            TimetableKind::Interval => 2,
         });
         let (objective_tag, objective_cap) = match self.solver.objective {
             Objective::Makespan => (0, 0),
@@ -852,9 +851,8 @@ impl Hilp {
     }
 
     /// The [`EvaluatePolicy::Exact`] path: replay the grid cascade as a
-    /// pilot, then solve once at the finest tick on the continuous-time
-    /// interval backend with the cascade's result lifted in as a verified
-    /// incumbent.
+    /// pilot, then solve once at the finest tick on the event backend with
+    /// the cascade's result lifted in as a verified incumbent.
     ///
     /// The pilot cascade solves exactly the levels the grid-refinement
     /// loop would solve — same ticks, same warm-order chaining, same
@@ -881,12 +879,12 @@ impl Hilp {
             let _encode_span = tel.span("core.encode");
             encode(&self.workload, &self.soc, &self.constraints, exact_step)?
         };
-        // The interval backend is what makes fine-resolution solves
-        // affordable; any other configured representation would pay a
-        // horizon-proportional cost here. The joule budget, if any, is
-        // re-derived per tick below.
+        // The event backend's cost is independent of the horizon, which is
+        // what makes fine-resolution solves affordable; the dense reference
+        // would pay a horizon-proportional cost here. The joule budget, if
+        // any, is re-derived per tick below.
         let exact_solver = |tick: f64| SolverConfig {
-            timetable: TimetableKind::Interval,
+            timetable: TimetableKind::Event,
             ..self.level_solver(tick)
         };
 

@@ -11,8 +11,11 @@
 //! bandwidth_gbps = 800
 //! ```
 //!
-//! Unknown keys, malformed numbers, and missing mandatory fields are
-//! reported with line numbers.
+//! Unknown keys, malformed numbers, out-of-range values, and missing
+//! mandatory fields are reported with line numbers. Counts are capped
+//! ([`MAX_CPUS`], [`MAX_GPU_SMS`], [`MAX_DSA_PES`], [`MAX_DSAS`]) and
+//! budgets must be positive and finite, so a spec is rejected before the
+//! encoder allocates for it.
 
 use std::error::Error;
 use std::fmt;
@@ -40,6 +43,16 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// Largest accepted `cpus`: the encoder builds one machine per core.
+pub const MAX_CPUS: u32 = 1024;
+/// Largest accepted `gpu_sms`.
+pub const MAX_GPU_SMS: u32 = 65_536;
+/// Largest accepted PE count of one `dsa`.
+pub const MAX_DSA_PES: u32 = 65_536;
+/// Most `dsa` lines one spec may carry: the encoder builds one machine
+/// per DSA.
+pub const MAX_DSAS: usize = 64;
+
 fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError {
         line,
@@ -52,7 +65,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for unknown keys,
-/// malformed values, duplicate scalar keys, or a missing `cpus` field.
+/// malformed or out-of-range values, duplicate scalar keys, or a missing
+/// `cpus` field.
 ///
 /// # Example
 ///
@@ -97,17 +111,16 @@ pub fn parse_soc(text: &str) -> Result<(SocSpec, Constraints), ParseError> {
                 if parsed == 0 {
                     return Err(err(line_no, "an SoC needs at least one CPU core"));
                 }
-                cpus = Some(parsed);
+                cpus = Some(at_most(line_no, "cpus", parsed, MAX_CPUS)?);
             }
             "gpu_sms" => {
                 if gpu_sms.is_some() {
                     return Err(err(line_no, "duplicate `gpu_sms`"));
                 }
-                gpu_sms = Some(
-                    value
-                        .parse()
-                        .map_err(|_| err(line_no, format!("invalid SM count `{value}`")))?,
-                );
+                let parsed: u32 = value
+                    .parse()
+                    .map_err(|_| err(line_no, format!("invalid SM count `{value}`")))?;
+                gpu_sms = Some(at_most(line_no, "gpu_sms", parsed, MAX_GPU_SMS)?);
             }
             "dsa" => {
                 let mut parts = value.split_whitespace();
@@ -122,6 +135,10 @@ pub fn parse_soc(text: &str) -> Result<(SocSpec, Constraints), ParseError> {
                 if pes == 0 {
                     return Err(err(line_no, "a DSA needs at least one PE"));
                 }
+                if dsas.len() == MAX_DSAS {
+                    return Err(err(line_no, format!("more than {MAX_DSAS} `dsa` lines")));
+                }
+                let pes = at_most(line_no, "dsa PE count", pes, MAX_DSA_PES)?;
                 let mut dsa = DsaSpec::new(pes, name);
                 if let Some(adv) = parts.next() {
                     let advantage: f64 = adv
@@ -138,15 +155,11 @@ pub fn parse_soc(text: &str) -> Result<(SocSpec, Constraints), ParseError> {
                 dsas.push(dsa);
             }
             "power_w" => {
-                let watts: f64 = value
-                    .parse()
-                    .map_err(|_| err(line_no, format!("invalid power budget `{value}`")))?;
+                let watts = budget(line_no, "power_w", value)?;
                 constraints = constraints.with_power(watts);
             }
             "bandwidth_gbps" => {
-                let gbps: f64 = value
-                    .parse()
-                    .map_err(|_| err(line_no, format!("invalid bandwidth budget `{value}`")))?;
+                let gbps = budget(line_no, "bandwidth_gbps", value)?;
                 constraints = constraints.with_bandwidth(gbps);
             }
             other => {
@@ -164,6 +177,28 @@ pub fn parse_soc(text: &str) -> Result<(SocSpec, Constraints), ParseError> {
         soc = soc.with_dsa(dsa);
     }
     Ok((soc, constraints))
+}
+
+/// `value` if it is at most `max`, else an error naming `field`.
+fn at_most(line: usize, field: &str, value: u32, max: u32) -> Result<u32, ParseError> {
+    if value > max {
+        return Err(err(
+            line,
+            format!("`{field}` = {value} exceeds the limit of {max}"),
+        ));
+    }
+    Ok(value)
+}
+
+/// Parses a power or bandwidth budget: a finite number above zero.
+fn budget(line: usize, field: &str, value: &str) -> Result<f64, ParseError> {
+    match value.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(err(
+            line,
+            format!("`{field}` must be a finite number above zero, got `{value}`"),
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -217,6 +252,48 @@ mod tests {
         assert!(parse_soc("cpus = 1\ndsa = LUD 4 4 4\n").is_err());
         assert!(parse_soc("cpus = 1\ncpus = 2\n").is_err());
         assert!(parse_soc("just words\n").is_err());
+    }
+
+    #[test]
+    fn budgets_must_be_finite_and_positive() {
+        for field in ["power_w", "bandwidth_gbps"] {
+            for bad in ["0", "-5", "NaN", "inf", "-inf", "1e999", "watts"] {
+                let e = parse_soc(&format!("cpus = 1\n{field} = {bad}\n")).unwrap_err();
+                assert_eq!(e.line, 2, "{field} = {bad}");
+                assert!(e.message.contains(field), "{field} = {bad}: {e}");
+            }
+        }
+        let (_, c) = parse_soc("cpus = 1\npower_w = 0.5\nbandwidth_gbps = 1e3\n").unwrap();
+        assert_eq!((c.power_w, c.bandwidth_gbps), (Some(0.5), Some(1000.0)));
+    }
+
+    #[test]
+    fn counts_above_their_caps_name_the_field() {
+        let cases = [
+            (format!("cpus = {}\n", MAX_CPUS + 1), "cpus"),
+            ("cpus = 4000000000\n".to_string(), "cpus"),
+            (
+                format!("cpus = 1\ngpu_sms = {}\n", MAX_GPU_SMS + 1),
+                "gpu_sms",
+            ),
+            (
+                format!("cpus = 1\ndsa = LUD {}\n", MAX_DSA_PES + 1),
+                "dsa PE count",
+            ),
+            (
+                format!("cpus = 1\n{}", "dsa = LUD 4\n".repeat(MAX_DSAS + 1)),
+                "dsa",
+            ),
+        ];
+        for (text, field) in &cases {
+            let e = parse_soc(text).unwrap_err();
+            assert!(e.message.contains(field), "{field}: {e}");
+            assert!(e.line > 0, "{field}: {e}");
+        }
+        let at_caps =
+            format!("cpus = {MAX_CPUS}\ngpu_sms = {MAX_GPU_SMS}\ndsa = LUD {MAX_DSA_PES}\n");
+        let (soc, _) = parse_soc(&at_caps).unwrap();
+        assert_eq!(soc.cpu_cores, MAX_CPUS);
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub struct SweepConfig {
     /// How HILP evaluations consume the time-step policy: the paper's
     /// adaptive grid-refinement loop (the default), or a pilot replay of
     /// that loop followed by one solve at the policy's finest tick on the
-    /// continuous-time interval backend ([`EvaluatePolicy::Exact`]) — no
+    /// horizon-independent event backend ([`EvaluatePolicy::Exact`]) — no
     /// residual coarse-grid rounding, and per-point makespans guaranteed
     /// at most the grid loop's. The other models have no refinement loop
     /// and ignore this.
@@ -659,7 +659,6 @@ fn sweep_config_key(config: &SweepConfig) -> u64 {
     eat(match config.solver.timetable {
         TimetableKind::Event => 0,
         TimetableKind::Dense => 1,
-        TimetableKind::Interval => 2,
     });
     // The objective (and any energy cap riding on it) changes which
     // schedule — and so which scalars — a point reports; a baseline

@@ -780,11 +780,7 @@ mod tests {
         // Every timetable representation must reach (and prove) the same
         // optimum — the exact search is representation-independent.
         let inst = figure2_instance();
-        for kind in [
-            TimetableKind::Event,
-            TimetableKind::Dense,
-            TimetableKind::Interval,
-        ] {
+        for kind in [TimetableKind::Event, TimetableKind::Dense] {
             let result = branch_and_bound(
                 &inst,
                 None,

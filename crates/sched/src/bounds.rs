@@ -8,10 +8,10 @@
 //!
 //! The bounds are purely combinatorial over the instance's integer step
 //! durations and capacities — they never consult a timetable — so they are
-//! valid verbatim under every [`crate::TimetableKind`], including the
-//! continuous-time interval backend: at the finest ("exact") tick the
-//! energy and critical-path sums are computed on exactly the durations the
-//! interval scheduler places, leaving no representation-induced slack.
+//! valid verbatim under every [`crate::TimetableKind`]: at the finest
+//! ("exact") tick the energy and critical-path sums are computed on
+//! exactly the durations the scheduler places, leaving no
+//! representation-induced slack.
 
 use crate::instance::{EdgeKind, Instance, ResourceId, TaskId};
 

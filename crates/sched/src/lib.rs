@@ -58,22 +58,17 @@ mod delta;
 mod error;
 mod heuristic;
 mod instance;
-pub mod interval;
 pub mod online;
 mod schedule;
 mod sgs;
 mod solve;
 
 pub use bounds::{lower_bound, lower_bound_with_energy_cap};
-pub use delta::{
-    delta_solve, repair_schedule, DeltaAxes, DeltaClass, DeltaOutcome, DeltaPath, InstanceDelta,
-    RepairOutcome,
-};
+pub use delta::{DeltaAxes, DeltaClass, InstanceDelta};
 pub use error::SchedError;
 pub use instance::{
     Edge, EdgeKind, Instance, InstanceBuilder, MachineId, Mode, ModeId, ResourceId, Task, TaskId,
 };
-pub use interval::{IntervalSet, Span};
 pub use schedule::{Schedule, Violation};
 pub use sgs::TimetableKind;
 // Internal timetable machinery, re-exported (hidden) so the workspace test

@@ -7,24 +7,21 @@
 //! to contain an optimum for makespan minimization; this is the foundation
 //! of both the randomized heuristic and the exact branch-and-bound search.
 //!
-//! Three timetable representations back the SGS, all behind the shared
+//! Two timetable representations back the SGS, both behind the shared
 //! [`TimetableOps`] feasibility logic:
 //!
 //! * [`TimetableKind::Event`] (the default) stores each resource as a
 //!   piecewise-constant profile over breakpoints, so a feasibility probe
 //!   jumps straight to the end of the first conflicting segment instead of
 //!   re-checking every time step, and undo touches only the segments the
-//!   placed task created.
+//!   placed task created. Memory and probe cost scale with placed tasks,
+//!   not with the horizon, which is what makes single-pass
+//!   fine-resolution ("exact") evaluation affordable.
 //! * [`TimetableKind::Dense`] is the original per-time-step representation,
 //!   kept as a slow-but-obviously-correct reference for property tests and
 //!   benchmark baselines.
-//! * [`TimetableKind::Interval`] stores only the *busy* intervals as
-//!   canonical sorted sets ([`crate::interval`]): memory and probe cost
-//!   scale with placed tasks, not with the horizon, which is what makes
-//!   single-pass fine-resolution ("exact") evaluation affordable.
 
 use crate::instance::{EdgeKind, Instance, Mode, ModeId, TaskId};
-use crate::interval::IntervalTimetable;
 use crate::schedule::Schedule;
 
 /// Which timetable representation the scheduler uses.
@@ -37,10 +34,6 @@ pub enum TimetableKind {
     /// Dense per-time-step occupancy vectors over the whole horizon: the
     /// original reference implementation, retained for cross-checking.
     Dense,
-    /// Continuous-time interval sets storing only busy intervals: cost
-    /// scales with placed tasks rather than the horizon, making very fine
-    /// discretizations cheap.
-    Interval,
 }
 
 /// Per-dimension conflict probes shared by every timetable backend, plus
@@ -505,8 +498,6 @@ pub enum Timetable<'a> {
     Event(EventTimetable<'a>),
     /// Per-time-step vectors (the reference).
     Dense(DenseTimetable<'a>),
-    /// Continuous-time busy-interval sets (horizon-independent).
-    Interval(IntervalTimetable<'a>),
 }
 
 impl<'a> Timetable<'a> {
@@ -515,7 +506,6 @@ impl<'a> Timetable<'a> {
         match kind {
             TimetableKind::Event => Timetable::Event(EventTimetable::new(instance)),
             TimetableKind::Dense => Timetable::Dense(DenseTimetable::new(instance)),
-            TimetableKind::Interval => Timetable::Interval(IntervalTimetable::new(instance)),
         }
     }
 
@@ -525,7 +515,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.clear(),
             Timetable::Dense(t) => t.clear(),
-            Timetable::Interval(t) => t.clear(),
         }
     }
 
@@ -536,7 +525,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.fits_at(mode, start),
             Timetable::Dense(t) => t.fits_at(mode, start),
-            Timetable::Interval(t) => t.fits_at(mode, start),
         }
     }
 
@@ -547,7 +535,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.earliest_start(mode, est),
             Timetable::Dense(t) => t.earliest_start(mode, est),
-            Timetable::Interval(t) => t.earliest_start(mode, est),
         }
     }
 
@@ -556,7 +543,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.place(mode, start),
             Timetable::Dense(t) => t.place(mode, start),
-            Timetable::Interval(t) => t.place(mode, start),
         }
     }
 
@@ -565,7 +551,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.unplace(mode, start),
             Timetable::Dense(t) => t.unplace(mode, start),
-            Timetable::Interval(t) => t.unplace(mode, start),
         }
     }
 
@@ -574,7 +559,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(tt) => tt.power.values[tt.power.segment(t)],
             Timetable::Dense(tt) => tt.power[t as usize],
-            Timetable::Interval(tt) => tt.power.value_at(t),
         }
     }
 
@@ -583,7 +567,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(tt) => tt.cores.values[tt.cores.segment(t)],
             Timetable::Dense(tt) => tt.cores[t as usize],
-            Timetable::Interval(tt) => tt.cores.value_at(t),
         }
     }
 }
@@ -845,11 +828,7 @@ mod tests {
     use super::*;
     use crate::instance::{InstanceBuilder, Mode};
 
-    const ALL_KINDS: [TimetableKind; 3] = [
-        TimetableKind::Event,
-        TimetableKind::Dense,
-        TimetableKind::Interval,
-    ];
+    const ALL_KINDS: [TimetableKind; 2] = [TimetableKind::Event, TimetableKind::Dense];
 
     #[test]
     fn earliest_start_skips_busy_windows() {

@@ -82,10 +82,10 @@ pub struct SolverConfig {
     /// this knob only trades wall-clock time.
     pub bnb_threads: usize,
     /// Timetable representation backing the SGS and branch-and-bound:
-    /// event-driven by default, dense as the slow reference, or the
-    /// continuous-time interval backend whose cost is independent of the
-    /// horizon (what `EvaluatePolicy::exact()` selects for single-pass
-    /// fine-resolution evaluation). All three produce identical schedules.
+    /// event-driven by default (its cost is independent of the horizon,
+    /// which is what `EvaluatePolicy::exact()` relies on for single-pass
+    /// fine-resolution evaluation), or dense as the slow reference. Both
+    /// produce identical schedules.
     pub timetable: TimetableKind,
     /// Stop the heuristic as soon as its incumbent matches a proven lower
     /// bound (the instance's own combinatorial bound, possibly raised by

@@ -2,24 +2,24 @@
 //! `hilp-testkit` strategies (the generators that used to live here as
 //! private copies).
 //!
-//! The event-driven and continuous-time interval timetables are
-//! cross-checked against the retained dense reference on random
-//! placement/undo sequences, the canonical [`IntervalSet`] invariants are
-//! checked against a dense array reference, and the multi-start heuristic
-//! is checked to be independent of thread count and timetable
+//! The event-driven timetable is cross-checked against the retained dense
+//! reference on random placement/undo sequences, and the multi-start
+//! heuristic is checked to be independent of thread count and timetable
 //! representation.
 //!
-//! A second block checks the incremental delta-solving contract: a chain of
-//! stepwise [`delta_solve`] calls must land on the same outcome as one
-//! from-scratch solve of the final instance, and an identity delta must
-//! return the cached parent outcome bit for bit.
+//! A second block checks the what-if reuse contract of [`InstanceDelta`]:
+//! a chain of stepwise answers — the parent outcome on identity, the
+//! parent's proven bound handed to the solver when it transfers, a plain
+//! solve otherwise — must land on the same outcome as one from-scratch
+//! solve of the final instance, and an identity delta must make the
+//! cached parent outcome the child's bit for bit.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use hilp_sched::{
-    delta_solve, solve, solve_exact, solve_heuristic, Budget, DeltaPath, IntervalSet, Mode,
-    SchedError, SolveOutcome, SolverConfig, Timetable, TimetableKind,
+    solve, solve_exact, solve_heuristic, solve_with_hints, Budget, InstanceDelta, Mode, SchedError,
+    SolveHints, SolveOutcome, SolverConfig, Timetable, TimetableKind,
 };
 use hilp_sched::{MachineId, Schedule};
 use hilp_testkit::delta::{apply_perturbation, arb_perturbation, PerturbAxis, Perturbation};
@@ -39,16 +39,14 @@ fn essence(result: &Result<SolveOutcome, SchedError>) -> Option<(u32, u32, &Sche
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The event-driven and continuous-time interval timetables must agree
-    /// with the dense reference on every `earliest_start` probe across
-    /// arbitrary place/undo sequences, and undo must restore the profiles
-    /// exactly.
+    /// The event-driven timetable must agree with the dense reference on
+    /// every `earliest_start` probe across arbitrary place/undo sequences,
+    /// and undo must restore the profiles exactly.
     #[test]
     fn timetable_representations_match_dense_reference(ops in timetable_ops()) {
         let (instance, res) = shell_instance();
         let mut event = Timetable::with_kind(&instance, TimetableKind::Event);
         let mut dense = Timetable::with_kind(&instance, TimetableKind::Dense);
-        let mut interval = Timetable::with_kind(&instance, TimetableKind::Interval);
         let mut placed: Vec<(Mode, u32)> = Vec::new();
         for op in &ops {
             let ((_, _, est), _, unplace) = *op;
@@ -57,18 +55,14 @@ proptest! {
                 let (mode, start) = placed.swap_remove(victim);
                 event.unplace(&mode, start);
                 dense.unplace(&mode, start);
-                interval.unplace(&mode, start);
             } else {
                 let mode = op_mode(op, res);
                 let e = event.earliest_start(&mode, u32::from(est));
                 let d = dense.earliest_start(&mode, u32::from(est));
-                let i = interval.earliest_start(&mode, u32::from(est));
                 prop_assert_eq!(e, d, "event and dense earliest_start diverged");
-                prop_assert_eq!(e, i, "event and interval earliest_start diverged");
                 if let Some(start) = e {
                     event.place(&mode, start);
                     dense.place(&mode, start);
-                    interval.place(&mode, start);
                     placed.push((mode, start));
                 }
             }
@@ -76,90 +70,14 @@ proptest! {
             // machine after every operation.
             for t in [0u32, 13, 57, 200] {
                 prop_assert_eq!(event.cores_at(t), dense.cores_at(t));
-                prop_assert_eq!(interval.cores_at(t), dense.cores_at(t));
                 prop_assert!((event.power_at(t) - dense.power_at(t)).abs() < 1e-9);
-                prop_assert!((interval.power_at(t) - dense.power_at(t)).abs() < 1e-9);
             }
             for m in 0..3 {
                 let probe = Mode::on(MachineId(m), 3).power(1.5).cores(1);
-                let e = event.earliest_start(&probe, 0);
-                prop_assert_eq!(e, dense.earliest_start(&probe, 0));
-                prop_assert_eq!(e, interval.earliest_start(&probe, 0));
-            }
-        }
-    }
-
-    /// [`IntervalSet`] stays canonical — sorted, disjoint, coalesced,
-    /// zero-free — under arbitrary add/subtract sequences, and its point
-    /// queries and conflict hints match a dense array reference.
-    #[test]
-    fn interval_set_is_canonical_and_matches_a_dense_reference(
-        ops in prop::collection::vec(
-            // (start, length, delta, undo-a-previous-add?)
-            (0..=140u32, 1..=25u32, 1..=5u32, prop::bool::ANY),
-            1..40,
-        ),
-        probes in prop::collection::vec((0..=170u32, 1..=30u32, 0..=12u32), 8),
-    ) {
-        const LIMIT: usize = 200;
-        let mut set: IntervalSet<u32> = IntervalSet::new();
-        let mut reference = vec![0u32; LIMIT];
-        let mut applied: Vec<(u32, u32, u32)> = Vec::new();
-        for &(start, len, delta, undo) in &ops {
-            if undo && !applied.is_empty() {
-                let victim = (start as usize) % applied.len();
-                let (s, e, d) = applied.swap_remove(victim);
-                set.subtract(s, e, d);
-                for t in s..e {
-                    reference[t as usize] -= d;
-                }
-            } else {
-                let end = start + len;
-                set.add(start, end, delta);
-                for t in start..end {
-                    reference[t as usize] += delta;
-                }
-                applied.push((start, end, delta));
-            }
-
-            // Canonical-form invariants: sorted, disjoint, non-empty,
-            // zero-free, and no touching spans with equal values (those
-            // must have been coalesced into one).
-            let spans = set.spans();
-            for s in spans {
-                prop_assert!(s.start < s.end, "empty span {:?}", s);
-                prop_assert!(s.value != 0, "zero-valued span {:?}", s);
-            }
-            for w in spans.windows(2) {
-                prop_assert!(w[0].end <= w[1].start, "overlap: {:?} then {:?}", w[0], w[1]);
-                prop_assert!(
-                    w[0].end < w[1].start || w[0].value != w[1].value,
-                    "uncoalesced touch: {:?} then {:?}",
-                    w[0],
-                    w[1]
+                prop_assert_eq!(
+                    event.earliest_start(&probe, 0),
+                    dense.earliest_start(&probe, 0)
                 );
-            }
-
-            // Point queries match the dense reference everywhere.
-            for (t, &expected) in reference.iter().enumerate().take(LIMIT) {
-                prop_assert_eq!(set.value_at(t as u32), expected);
-            }
-        }
-
-        // Conflict hints: the reported position is the dense reference's
-        // first violation, and usage violates at every time up to the
-        // reported resume (the hint never skips a feasible start).
-        for &(start, len, cap) in &probes {
-            let end = (start + len).min(LIMIT as u32);
-            let violates = |v: u32| v > cap;
-            let hit = set.first_violation(start, end, violates);
-            let naive = (start..end).find(|&t| violates(reference.get(t as usize).copied().unwrap_or(0)));
-            prop_assert_eq!(hit.map(|(pos, _)| pos), naive, "first violation diverged");
-            if let Some((pos, resume)) = hit {
-                prop_assert!(resume > pos, "resume must advance past the violation");
-                for t in pos..resume.min(LIMIT as u32) {
-                    prop_assert!(violates(reference[t as usize]), "hint skipped feasible time {}", t);
-                }
             }
         }
     }
@@ -231,18 +149,15 @@ proptest! {
             essence(&parallel),
             "thread count changed the result"
         );
-        for kind in [TimetableKind::Dense, TimetableKind::Interval] {
-            let other = solve_heuristic(
-                &instance,
-                &SolverConfig { timetable: kind, ..base.clone() },
-            );
-            prop_assert_eq!(
-                essence(&serial),
-                essence(&other),
-                "timetable representation {:?} changed the result",
-                kind
-            );
-        }
+        let dense = solve_heuristic(
+            &instance,
+            &SolverConfig { timetable: TimetableKind::Dense, ..base.clone() },
+        );
+        prop_assert_eq!(
+            essence(&serial),
+            essence(&dense),
+            "the dense timetable changed the result"
+        );
     }
 }
 
@@ -250,69 +165,65 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Delta-chain invariance: applying N perturbations one at a time and
-    /// answering each step with [`delta_solve`] must land on exactly the
-    /// outcome a single from-scratch [`solve`] reports for the final
-    /// instance. Every intermediate step is also checked against scratch, so
-    /// a divergence is pinned to the first step that introduced it.
+    /// answering each step the way the what-if paths do — the parent
+    /// outcome on identity, a solve hinted with the parent's proven bound
+    /// when [`InstanceDelta::bounds_transfer`] holds, a plain solve
+    /// otherwise — must land on exactly the outcome a single from-scratch
+    /// [`solve`] reports for the final instance. Every intermediate step is
+    /// also checked against scratch, so a divergence is pinned to the first
+    /// step that introduced it.
     #[test]
     fn delta_chains_match_one_shot_scratch_solves(
         instance in arb_instance(InstanceParams::tiny()),
         perturbations in prop::collection::vec(arb_perturbation(), 1..=4),
     ) {
         // The sweep's heuristic-only configuration: deterministic, and the
-        // one where tightening deltas take the certificate tier.
+        // one where a transferred bound is result-transparent.
         let config = SolverConfig::sweep();
         let mut parent = instance;
         let mut parent_outcome = match solve(&parent, &config) {
             Ok(out) => out,
-            // An infeasible root has no cached outcome to delta from.
+            // An infeasible root has no cached outcome to reuse.
             Err(_) => return Ok(()),
         };
         for (step, p) in perturbations.iter().enumerate() {
             let child = apply_perturbation(&parent, p);
             let scratch = solve(&child, &config);
-            match delta_solve(&parent, &parent_outcome, &child, &config) {
-                Ok(delta) => {
-                    let scratch = match scratch {
-                        Ok(out) => out,
-                        Err(err) => {
-                            return Err(TestCaseError::Fail(format!(
-                                "step {step}: delta-solve succeeded but scratch \
-                                 reports {err}"
-                            )));
-                        }
-                    };
-                    let delta_result = Ok(delta.outcome.clone());
-                    let scratch_result = Ok(scratch);
-                    prop_assert_eq!(
-                        essence(&delta_result),
-                        essence(&scratch_result),
-                        "step {} ({:?} axis) diverged from scratch",
-                        step,
-                        p.axis
-                    );
+            let delta = InstanceDelta::between(&parent, &child);
+            let answered = if delta.is_identity() {
+                Ok(parent_outcome.clone())
+            } else {
+                let hints = SolveHints {
+                    external_lower_bound: delta
+                        .bounds_transfer()
+                        .then_some(parent_outcome.lower_bound),
+                    ..SolveHints::default()
+                };
+                solve_with_hints(&child, &config, &hints).map(|(out, _)| out)
+            };
+            prop_assert_eq!(
+                essence(&answered),
+                essence(&scratch),
+                "step {} ({:?} axis, {:?} delta) diverged from scratch",
+                step,
+                p.axis,
+                delta.class
+            );
+            match answered {
+                Ok(out) => {
                     parent = child;
-                    parent_outcome = delta.outcome;
+                    parent_outcome = out;
                 }
-                Err(_) => {
-                    // Infeasible child: scratch must agree, and the chain
-                    // ends — there is no outcome to carry forward.
-                    prop_assert!(
-                        scratch.is_err(),
-                        "step {} ({:?} axis): delta-solve reports infeasible \
-                         but scratch found a schedule",
-                        step,
-                        p.axis
-                    );
-                    return Ok(());
-                }
+                // Infeasible child (scratch agreed above): the chain ends,
+                // there is no outcome to carry forward.
+                Err(_) => return Ok(()),
             }
         }
     }
 
     /// Identity-delta transparency: a perturbation that changes nothing must
-    /// be recognised as [`DeltaPath::Identity`] and return the cached parent
-    /// outcome bit-identically — schedule included, not just the makespan.
+    /// be classified as identity, and the cached parent outcome must be the
+    /// child's bit-identically — schedule included, not just the makespan.
     #[test]
     fn identity_deltas_are_bit_transparent(
         instance in arb_instance(InstanceParams::tiny()),
@@ -335,13 +246,13 @@ proptest! {
             instance.fingerprint(),
             "identity perturbation changed the instance fingerprint"
         );
-        let delta = delta_solve(&instance, &parent_outcome, &child, &config)
-            .expect("identity delta of a feasible parent cannot fail");
-        prop_assert_eq!(delta.path, DeltaPath::Identity);
+        prop_assert!(InstanceDelta::between(&instance, &child).is_identity());
+        let child_outcome = solve(&child, &config)
+            .expect("an identity child of a feasible parent cannot fail");
         prop_assert_eq!(
-            delta.outcome,
+            child_outcome,
             parent_outcome,
-            "identity delta did not return the cached outcome verbatim"
+            "the child did not reproduce the cached parent outcome"
         );
     }
 }

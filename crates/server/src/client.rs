@@ -92,7 +92,10 @@ impl Client {
     ///
     /// Propagates socket write errors.
     pub fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        writeln!(self.writer, "{}", render_request(request))?;
+        // One write per line: the daemon acts on the line the moment it
+        // arrives whole.
+        let line = format!("{}\n", render_request(request));
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()
     }
 

@@ -164,7 +164,7 @@ impl WireWriter {
     fn send(&self, record: &Record) {
         self.shared.journal(record);
         if let Ok(mut sink) = self.sink.lock() {
-            let _ = writeln!(sink, "{}", record.to_json());
+            let _ = sink.write_all(format!("{}\n", record.to_json()).as_bytes());
             let _ = sink.flush();
         }
     }
@@ -283,7 +283,7 @@ fn run_job(
     tenant: &str,
     inputs: &JobInputs,
     budgets: SweepBudgets,
-    token: &CancelToken,
+    finished: &AtomicBool,
 ) {
     // Fair share: a job entering while `n - 1` others run gets
     // `total / n` threads for its lifetime. Thread counts are
@@ -291,6 +291,7 @@ fn run_job(
     let active = shared.active_jobs.fetch_add(1, Ordering::SeqCst) + 1;
     let threads = (shared.total_threads / active.max(1)).max(1);
     let replay_safe = budgets.replay_safe();
+    let cancel = budgets.cancel.clone();
     let baseline = replay_safe
         .then(|| {
             shared
@@ -319,7 +320,8 @@ fn run_job(
     );
     let seconds = t0.elapsed().as_secs_f64();
     shared.active_jobs.fetch_sub(1, Ordering::SeqCst);
-    match outcome {
+    let error;
+    let terminal = match outcome {
         Ok((points, stats, baseline)) => {
             let degraded = shared.degraded || stats.parallelism_fallback;
             // Persist the refreshed baseline for the next identical
@@ -333,7 +335,7 @@ fn run_job(
                     .expect("baseline store")
                     .insert(inputs.fingerprint, Arc::new(baseline));
             }
-            let event = if token.is_cancelled() {
+            let event = if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 "cancelled"
             } else {
                 "finished"
@@ -348,7 +350,7 @@ fn run_job(
                  {truncated} truncated, {seconds:.2}s on {threads} thread(s)",
                 points.len()
             ));
-            writer.send_job(JobEvent {
+            JobEvent {
                 event,
                 id,
                 tenant,
@@ -358,28 +360,36 @@ fn run_job(
                 degraded,
                 seconds,
                 ..JobEvent::default()
-            });
+            }
         }
         Err(e) => {
             shared.ledger.finish(tenant, 0, 0, 0);
             shared.say(&format!("job {id} ({tenant}) failed: {e}"));
-            writer.send_job(JobEvent {
+            error = e.to_string();
+            JobEvent {
                 event: "failed",
                 id,
                 tenant,
                 degraded: shared.degraded,
                 seconds,
-                detail: &e.to_string(),
+                detail: &error,
                 ..JobEvent::default()
-            });
+            }
         }
-    }
+    };
+    // Flag first, send second: a client that answers the terminal record
+    // with a new submit must find this job already marked finished.
+    finished.store(true, Ordering::SeqCst);
+    writer.send_job(terminal);
 }
 
 /// The job a connection currently has running.
 struct ActiveJob {
     id: u64,
     token: CancelToken,
+    /// Set just before the job's terminal record is sent; from then on
+    /// the thread only has to return, so joining it cannot block.
+    finished: Arc<AtomicBool>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -397,7 +407,7 @@ fn handle_submit(
             ..JobEvent::default()
         });
     };
-    if active.as_ref().is_some_and(|j| !j.handle.is_finished()) {
+    if active.is_some() {
         reject("connection already has a running job (open another connection)");
         return;
     }
@@ -433,16 +443,22 @@ fn handle_submit(
         degraded: shared.degraded,
         ..JobEvent::default()
     });
+    let finished = Arc::new(AtomicBool::new(false));
     let handle = {
         let shared = Arc::clone(shared);
         let writer = writer.clone();
         let tenant = submit.tenant.clone();
-        let token = token.clone();
+        let finished = Arc::clone(&finished);
         std::thread::spawn(move || {
-            run_job(&shared, &writer, id, &tenant, &inputs, budgets, &token);
+            run_job(&shared, &writer, id, &tenant, &inputs, budgets, &finished);
         })
     };
-    *active = Some(ActiveJob { id, token, handle });
+    *active = Some(ActiveJob {
+        id,
+        token,
+        finished,
+        handle,
+    });
 }
 
 fn handle_connection(shared: &Arc<Shared>, stream: Socket) {
@@ -461,9 +477,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: Socket) {
         if line.is_empty() {
             continue;
         }
-        // Reap a job that finished since the last request, so a serial
-        // client can submit again on the same connection.
-        if active.as_ref().is_some_and(|j| j.handle.is_finished()) {
+        // Reap a job whose terminal record is out, so a serial client can
+        // submit again on the same connection the moment it sees that
+        // record (its thread may not have returned yet; joining waits for
+        // that, never for solving work).
+        if active
+            .as_ref()
+            .is_some_and(|j| j.finished.load(Ordering::SeqCst))
+        {
             if let Some(job) = active.take() {
                 let _ = job.handle.join();
             }
@@ -527,7 +548,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: Socket) {
     // Disconnect (or shutdown): cancel-on-disconnect trips the active
     // job's token; the sweep degrades its remaining points and drains.
     if let Some(job) = active.take() {
-        if !job.handle.is_finished() {
+        if !job.finished.load(Ordering::SeqCst) {
             shared.say(&format!("job {} client went away; cancelling", job.id));
         }
         job.token.cancel();

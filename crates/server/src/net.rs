@@ -23,6 +23,15 @@ pub(crate) enum Socket {
 }
 
 impl Socket {
+    /// Wraps a TCP stream with Nagle's algorithm off. Every wire message
+    /// is a short line the peer reacts to; with Nagle on, a line written
+    /// while the previous one is unacknowledged waits for the peer's
+    /// delayed ACK, ~40 ms per record on loopback.
+    fn tcp(stream: TcpStream) -> std::io::Result<Socket> {
+        stream.set_nodelay(true)?;
+        Ok(Socket::Tcp(stream))
+    }
+
     pub(crate) fn connect(addr: &str) -> std::io::Result<Socket> {
         if is_unix_addr(addr) {
             #[cfg(unix)]
@@ -33,7 +42,7 @@ impl Socket {
                 "unix sockets are not available on this platform",
             ));
         }
-        Ok(Socket::Tcp(TcpStream::connect(addr)?))
+        Socket::tcp(TcpStream::connect(addr)?)
     }
 
     pub(crate) fn try_clone(&self) -> std::io::Result<Socket> {
@@ -118,7 +127,7 @@ impl Listener {
 
     pub(crate) fn accept(&self) -> std::io::Result<Socket> {
         Ok(match self {
-            Listener::Tcp(l) => Socket::Tcp(l.accept()?.0),
+            Listener::Tcp(l) => Socket::tcp(l.accept()?.0)?,
             #[cfg(unix)]
             Listener::Unix(l, _) => Socket::Unix(l.accept()?.0),
         })

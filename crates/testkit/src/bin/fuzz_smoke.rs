@@ -11,19 +11,23 @@
 //! ```
 //!
 //! The case mix per 10 cases: 6 tiny instances (full battery including the
-//! brute-force reference, both MILP encodings, and the metamorphic
-//! transforms), 3 small instances (solver-vs-solver and bounds checks), and
-//! 1 encoding-pipeline case. Every tiny case additionally re-solves under a
+//! brute-force reference, both MILP encodings, the metamorphic
+//! transforms, and a replay on the other timetable representation), 3
+//! small instances (solver-vs-solver, bounds, and representation checks),
+//! and 1 encoding-pipeline case. Every tiny case additionally re-solves under a
 //! sampled node budget and checks the anytime contract: the truncated
 //! incumbent stays feasible and the reported bounds still sandwich the
 //! brute-force optimum. Every instance case (tiny and small) additionally
-//! runs the delta-solving differential: a random single-axis perturbation
-//! answered incrementally must match a from-scratch solve bit for bit.
+//! runs the delta differential: a random single-axis perturbation answered
+//! the way the what-if paths answer it (identity replay, or the parent's
+//! proven bound handed to the solver) must match a from-scratch solve bit
+//! for bit.
 //!
 //! `--delta` switches to a delta-only corpus (the gating `delta-oracle` CI
 //! job): every case is an instance + perturbation pair, alternating tiny
 //! instances under the exact solver and small instances under the sweep's
-//! heuristic-only configuration (which exercises the certificate tier).
+//! heuristic-only configuration (where transferred parent bounds are
+//! checked).
 //!
 //! `--energy` switches to an energy-only corpus (the gating `energy-oracle`
 //! CI job): every case is a tiny instance run through the full energy
@@ -131,7 +135,7 @@ fn main() {
     let perturbations = arb_perturbation();
     // Heuristic-only configuration for delta checks on small instances:
     // the one the DSE sweep uses, and the one where tightening deltas
-    // take the bound-certificate tier.
+    // carry the parent's bound into the child's solve.
     let sweep_solver = SolverConfig::sweep();
     let hash = fnv1a("hilp-testkit::fuzz_smoke") ^ args.seed;
 
@@ -152,9 +156,9 @@ fn main() {
             check_energy(&instance, &config, &mut stats)
         } else if args.delta_only {
             // Delta-only corpus: alternate tiny instances under the exact
-            // solver (identity + scratch tiers, optimality preserved) and
-            // small instances under the heuristic-only sweep configuration
-            // (where tightening deltas take the certificate tier).
+            // solver (identity replays) and small instances under the
+            // heuristic-only sweep configuration (identity replays and
+            // transferred parent bounds).
             if case % 2 == 0 {
                 let instance = tiny.generate(&mut rng);
                 let p = perturbations.generate(&mut rng);

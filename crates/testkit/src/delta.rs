@@ -1,17 +1,21 @@
-//! Differential pinning of incremental delta-solving.
+//! Differential pinning of the what-if shortcuts.
 //!
-//! [`check_delta`] is the oracle for `hilp_sched::delta_solve`: apply a
-//! random single-axis perturbation to a solved instance, answer it
-//! incrementally, and demand the result is **bit-identical** to a
-//! from-scratch solve of the perturbed instance — makespan, bound,
-//! schedule, optimality flags, everything. Incremental repair is the
-//! classic source of subtle staleness bugs; this harness is why the
-//! delta solver gets to exist.
+//! [`check_delta`] is the oracle for what `Hilp::evaluate_delta` and
+//! `SweepBaseline` reuse from a solved parent: apply a random single-axis
+//! perturbation to a solved instance, classify it with
+//! `hilp_sched::InstanceDelta::between`, answer it the way production
+//! does (identity replay, or the parent's proven bound handed to the
+//! solver when it transfers), and demand the result is **bit-identical**
+//! to a from-scratch solve of the perturbed instance — makespan, bound,
+//! schedule, optimality flags, everything. Reusing stale work is the
+//! classic source of subtle bugs; this harness is why the shortcuts get
+//! to exist.
 
 use proptest::{BoxedStrategy, Strategy};
 
 use hilp_sched::{
-    delta_solve, solve, DeltaPath, Instance, InstanceBuilder, Mode, SolverConfig, TaskId,
+    solve, solve_with_hints, Instance, InstanceBuilder, InstanceDelta, Mode, SolveHints,
+    SolveOutcome, SolverConfig, TaskId,
 };
 
 use crate::harness::{CheckStats, Disagreement};
@@ -20,7 +24,7 @@ use crate::harness::{CheckStats, Disagreement};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PerturbAxis {
     /// No change at all: the rebuilt instance must fingerprint-match the
-    /// original, covering the identity tier of the delta ladder.
+    /// original, covering the identity replay.
     Identity,
     /// One mode's duration, up (tightening) or down (loosening).
     Duration,
@@ -221,13 +225,24 @@ pub fn apply_perturbation(instance: &Instance, p: &Perturbation) -> Instance {
         .expect("perturbed instances stay structurally valid")
 }
 
-/// Differentially pins one delta-solve: `parent` is solved from scratch,
-/// perturbed, and the perturbed instance is answered both incrementally
-/// ([`delta_solve`]) and from scratch — the two answers must be
-/// bit-identical, down to the schedule, on pain of [`Disagreement`].
-/// Infeasible children must be rejected by both paths. The advisory
-/// repair preview, when produced, must be a feasible schedule of the
-/// child with a truthful makespan.
+/// Differentially pins the what-if shortcuts production takes: `parent`
+/// is solved from scratch, perturbed, and the child is diffed against it
+/// with [`InstanceDelta::between`].
+///
+/// * On identity, a scratch solve of the child must reproduce the parent
+///   outcome bit for bit (the identity replay of `Hilp::evaluate_delta`
+///   and `SweepBaseline`).
+/// * When [`InstanceDelta::bounds_transfer`] holds, [`solve_with_hints`]
+///   given the parent's proven lower bound must match the scratch solve
+///   bit for bit, down to the schedule (the bound-transfer certificate).
+///   Both child solves run heuristic-only (`config` with its exact phase
+///   switched off), the only configuration where the hint is transparent;
+///   the parent's bound comes from `config` as given.
+/// * Otherwise nothing of the parent is reused, so there is nothing to
+///   compare; the case is only counted.
+///
+/// Wherever two solves are compared, they must also agree on whether the
+/// child is infeasible.
 ///
 /// # Errors
 ///
@@ -239,85 +254,61 @@ pub fn check_delta(
     stats: &mut CheckStats,
 ) -> Result<(), Disagreement> {
     let Ok(parent_outcome) = solve(parent, config) else {
-        // Infeasible parents carry no schedule to repair from; the plain
-        // instance oracle already covers them.
+        // Infeasible parents have no outcome to reuse; the plain instance
+        // oracle already covers them.
         stats.delta_skipped += 1;
         return Ok(());
     };
     let child = apply_perturbation(parent, perturbation);
-    let scratch = solve(&child, config);
-    let incremental = delta_solve(parent, &parent_outcome, &child, config);
-    match (scratch, incremental) {
-        (Ok(scratch), Ok(delta)) => {
-            stats.delta_checked += 1;
-            match delta.path {
-                DeltaPath::Identity => stats.delta_identity += 1,
-                DeltaPath::Certificate => stats.delta_certified += 1,
-                DeltaPath::Scratch => {}
-            }
-            if delta.outcome != scratch {
-                return Err(Disagreement::new(
-                    "delta-vs-scratch",
-                    &child,
-                    format!(
-                        "{:?} perturbation: delta path {:?} reported makespan {} / bound {}, \
-                         from-scratch reported makespan {} / bound {} (full outcomes differ)",
-                        perturbation.axis,
-                        delta.path,
-                        delta.outcome.makespan,
-                        delta.outcome.lower_bound,
-                        scratch.makespan,
-                        scratch.lower_bound,
-                    ),
-                ));
-            }
-            if let Some(preview) = &delta.preview {
-                let violations = preview.schedule.verify(&child);
-                if !violations.is_empty() {
-                    return Err(Disagreement::new(
-                        "delta-preview-feasibility",
-                        &child,
-                        format!(
-                            "{:?} perturbation: repair preview violates: {violations:?}",
-                            perturbation.axis
-                        ),
-                    ));
-                }
-                if preview.schedule.makespan(&child) != preview.makespan {
-                    return Err(Disagreement::new(
-                        "delta-preview-makespan",
-                        &child,
-                        format!(
-                            "{:?} perturbation: preview claims makespan {} but schedule has {}",
-                            perturbation.axis,
-                            preview.makespan,
-                            preview.schedule.makespan(&child)
-                        ),
-                    ));
-                }
-            }
-            Ok(())
-        }
+    let delta = InstanceDelta::between(parent, &child);
+    // What the shortcut answers, the name of the check it feeds, and the
+    // configuration of the scratch solve it must match.
+    let (check, answered, scratch_config) = if delta.is_identity() {
+        stats.delta_identity += 1;
+        ("delta-identity", Ok(parent_outcome.clone()), config.clone())
+    } else if delta.bounds_transfer() {
+        stats.delta_bound_transferred += 1;
+        // A transferred bound is transparent only to heuristic-only
+        // solves. It may still come from an exact parent solve: recorded
+        // baselines carry proven bounds across solver configurations, and
+        // a proven bound is the strongest hint a wrong transfer can give.
+        let heuristic = SolverConfig {
+            exact_node_budget: 0,
+            ..config.clone()
+        };
+        let hints = SolveHints {
+            external_lower_bound: Some(parent_outcome.lower_bound),
+            ..SolveHints::default()
+        };
+        let hinted = solve_with_hints(&child, &heuristic, &hints).map(|(outcome, _)| outcome);
+        ("delta-bound-transfer", hinted, heuristic)
+    } else {
+        // Nothing of the parent is reused, so there is nothing to compare.
+        stats.delta_checked += 1;
+        return Ok(());
+    };
+    stats.delta_checked += 1;
+    let scratch = solve(&child, &scratch_config);
+    let describe = |outcome: &Result<SolveOutcome, _>| match outcome {
+        Ok(o) => format!("makespan {} / bound {}", o.makespan, o.lower_bound),
+        Err(e) => format!("error ({e})"),
+    };
+    match (&scratch, &answered) {
+        (Ok(a), Ok(b)) if a == b => Ok(()),
         (Err(_), Err(_)) => {
             stats.delta_infeasible_agreed += 1;
             Ok(())
         }
-        (Ok(scratch), Err(e)) => Err(Disagreement::new(
-            "delta-infeasible-scratch-feasible",
+        _ => Err(Disagreement::new(
+            check,
             &child,
             format!(
-                "{:?} perturbation: delta solve errored ({e}) but from scratch the child \
-                 schedules with makespan {}",
-                perturbation.axis, scratch.makespan
-            ),
-        )),
-        (Err(e), Ok(delta)) => Err(Disagreement::new(
-            "delta-feasible-scratch-infeasible",
-            &child,
-            format!(
-                "{:?} perturbation: from-scratch solve errored ({e}) but the delta path \
-                 produced makespan {} via {:?}",
-                perturbation.axis, delta.outcome.makespan, delta.path
+                "{:?} perturbation ({:?} delta): the shortcut reported {}, from scratch \
+                 reported {} (full outcomes differ)",
+                perturbation.axis,
+                delta.class,
+                describe(&answered),
+                describe(&scratch),
             ),
         )),
     }
@@ -368,7 +359,11 @@ mod tests {
         assert!(stats.delta_checked > 0, "nothing was checked");
         assert!(
             stats.delta_identity > 0,
-            "the identity tier was never taken"
+            "the identity replay was never checked"
+        );
+        assert!(
+            stats.delta_bound_transferred > 0,
+            "no parent bound was ever transferred"
         );
     }
 }

@@ -87,9 +87,9 @@ pub struct CheckStats {
     pub time_indexed_skipped: u64,
     /// Metamorphic rounds (scale + relax + permute) completed.
     pub metamorphic_checked: u64,
-    /// Heuristic solves replayed on the continuous-time interval backend
-    /// and compared bit-for-bit against the configured representation.
-    pub interval_checked: u64,
+    /// Heuristic solves replayed on the other timetable representation
+    /// and compared bit-for-bit against the configured one.
+    pub representation_checked: u64,
     /// Exact and budgeted solves replayed with a 4-worker branch and
     /// bound and compared bit-for-bit against the configured worker count.
     pub parallel_checked: u64,
@@ -102,15 +102,17 @@ pub struct CheckStats {
     /// Pipeline cases whose workload/SoC/constraints combination cannot
     /// encode (e.g. a phase with no compatible cluster).
     pub pipeline_skipped: u64,
-    /// Delta-solves compared bit-for-bit against a from-scratch solve of
-    /// the perturbed instance (see [`crate::delta::check_delta`]).
+    /// Perturbed children diffed against their solved parent (see
+    /// [`crate::delta::check_delta`]).
     pub delta_checked: u64,
-    /// Delta cases answered by the identity tier (unchanged fingerprint).
+    /// Delta cases the diff classified as identity (unchanged
+    /// fingerprint): the parent outcome must be the child's.
     pub delta_identity: u64,
-    /// Delta cases where a tightening certificate carried the parent's
-    /// proven bound into the child's solve.
-    pub delta_certified: u64,
-    /// Delta cases where both paths agreed the child is infeasible.
+    /// Delta cases whose parent bound transfers: the solve hinted with
+    /// the parent's proven bound must match the scratch solve.
+    pub delta_bound_transferred: u64,
+    /// Delta cases where the shortcut and the scratch solve agreed the
+    /// child is infeasible.
     pub delta_infeasible_agreed: u64,
     /// Delta cases skipped because the parent itself was infeasible.
     pub delta_skipped: u64,
@@ -141,7 +143,7 @@ impl CheckStats {
         self.time_indexed_checked += other.time_indexed_checked;
         self.time_indexed_skipped += other.time_indexed_skipped;
         self.metamorphic_checked += other.metamorphic_checked;
-        self.interval_checked += other.interval_checked;
+        self.representation_checked += other.representation_checked;
         self.parallel_checked += other.parallel_checked;
         self.budgeted_checked += other.budgeted_checked;
         self.budgeted_truncated += other.budgeted_truncated;
@@ -149,7 +151,7 @@ impl CheckStats {
         self.pipeline_skipped += other.pipeline_skipped;
         self.delta_checked += other.delta_checked;
         self.delta_identity += other.delta_identity;
-        self.delta_certified += other.delta_certified;
+        self.delta_bound_transferred += other.delta_bound_transferred;
         self.delta_infeasible_agreed += other.delta_infeasible_agreed;
         self.delta_skipped += other.delta_skipped;
         self.energy_checked += other.energy_checked;
@@ -163,9 +165,9 @@ impl CheckStats {
     pub fn summary(&self) -> String {
         format!(
             "{} cases: {} feasible, {} infeasible-agreed, {} brute-forced ({} proved optimal), \
-             milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} interval-replayed, \
+             milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} representation-replayed, \
              {} parallel-replayed, budgeted {} ({} truncated), pipeline {} encoded / {} skipped, \
-             delta {} ({} identity, {} certified, {} infeasible-agreed, {} skipped), \
+             delta {} ({} identity, {} bound-transferred, {} infeasible-agreed, {} skipped), \
              energy {} ({} pareto, {} capped, {} restriction-infeasible)",
             self.cases,
             self.feasible,
@@ -177,7 +179,7 @@ impl CheckStats {
             self.time_indexed_checked,
             self.time_indexed_skipped,
             self.metamorphic_checked,
-            self.interval_checked,
+            self.representation_checked,
             self.parallel_checked,
             self.budgeted_checked,
             self.budgeted_truncated,
@@ -185,7 +187,7 @@ impl CheckStats {
             self.pipeline_skipped,
             self.delta_checked,
             self.delta_identity,
-            self.delta_certified,
+            self.delta_bound_transferred,
             self.delta_infeasible_agreed,
             self.delta_skipped,
             self.energy_checked,
@@ -411,30 +413,36 @@ pub fn check_instance(
 
     let heuristic = solve_heuristic(instance, &config.solver);
 
-    // Representation differential: the continuous-time interval backend
-    // must reproduce the configured backend's heuristic outcome
-    // bit-for-bit — same feasibility verdict, makespan, lower bound, and
-    // schedule — on every instance, not just the ones worth brute-forcing.
-    if config.solver.timetable != TimetableKind::Interval {
-        let interval = solve_heuristic(
+    // Representation differential: the other timetable backend must
+    // reproduce the configured backend's heuristic outcome bit-for-bit —
+    // same feasibility verdict, makespan, lower bound, and schedule — on
+    // every instance, not just the ones worth brute-forcing. The replay
+    // runs on the dense reference, or on the event backend when the dense
+    // reference is the configured one.
+    {
+        let replay_kind = match config.solver.timetable {
+            TimetableKind::Dense => TimetableKind::Event,
+            TimetableKind::Event => TimetableKind::Dense,
+        };
+        let replay = solve_heuristic(
             instance,
             &SolverConfig {
-                timetable: TimetableKind::Interval,
+                timetable: replay_kind,
                 ..config.solver.clone()
             },
         );
-        stats.interval_checked += 1;
-        match (&heuristic, &interval) {
+        stats.representation_checked += 1;
+        match (&heuristic, &replay) {
             (Ok(a), Ok(b)) => {
                 if (a.makespan, a.lower_bound, &a.schedule)
                     != (b.makespan, b.lower_bound, &b.schedule)
                 {
                     return Err(Disagreement::new(
-                        "interval-representation",
+                        "representation",
                         instance,
                         format!(
-                            "interval backend diverged from {:?}: makespan {} vs {}, lower \
-                             bound {} vs {}",
+                            "{replay_kind:?} backend diverged from {:?}: makespan {} vs {}, \
+                             lower bound {} vs {}",
                             config.solver.timetable,
                             a.makespan,
                             b.makespan,
@@ -447,10 +455,11 @@ pub fn check_instance(
             (Err(_), Err(_)) => {}
             (a, b) => {
                 return Err(Disagreement::new(
-                    "interval-representation",
+                    "representation",
                     instance,
                     format!(
-                        "feasibility verdicts diverged: {:?} backend ok={}, interval ok={}",
+                        "feasibility verdicts diverged: {:?} backend ok={}, {replay_kind:?} \
+                         ok={}",
                         config.solver.timetable,
                         a.is_ok(),
                         b.is_ok()

@@ -19,7 +19,7 @@ use hilp_dse::{
     design_space, evaluate_space_recorded, evaluate_space_with_stats, lift_schedule, soc_dominates,
     DominanceLattice, ModelKind, SweepConfig,
 };
-use hilp_sched::{delta_solve, solve, DeltaPath, InstanceDelta, SolverConfig};
+use hilp_sched::{solve, solve_with_hints, InstanceDelta, SolveHints, SolverConfig};
 use hilp_soc::{Constraints, DsaSpec, SocSpec};
 use hilp_testkit::{arb_constraints, arb_soc, arb_workload};
 use hilp_workloads::{Workload, WorkloadVariant};
@@ -158,8 +158,8 @@ fn lifted_schedules_verify_on_the_dominating_soc() {
 /// A tightening constraint edit inherits the parent's proven lower bound as
 /// a termination certificate, and the certificate is sound: the child's
 /// reported bound is never looser than the parent's, the child's makespan
-/// never undercuts the inherited bound, and the delta-answered outcome is
-/// bit-identical to a from-scratch solve.
+/// never undercuts the inherited bound, and the certificate-armed outcome
+/// is bit-identical to a from-scratch solve.
 #[test]
 fn tightening_certificates_are_sound_and_never_loosen() {
     let workload = Workload::rodinia(WorkloadVariant::Default);
@@ -186,23 +186,23 @@ fn tightening_certificates_are_sound_and_never_loosen() {
         ..SolverConfig::default()
     };
     let parent_outcome = solve(&parent, &config).unwrap();
-    let answered = delta_solve(&parent, &parent_outcome, &child, &config).unwrap();
+    let hints = SolveHints {
+        external_lower_bound: Some(parent_outcome.lower_bound),
+        ..SolveHints::default()
+    };
+    let (answered, _) = solve_with_hints(&child, &config, &hints).unwrap();
     let scratch = solve(&child, &config).unwrap();
-    assert_eq!(answered.path, DeltaPath::Certificate);
-    assert_eq!(
-        answered.outcome, scratch,
-        "certificate tier changed the result"
-    );
+    assert_eq!(answered, scratch, "the certificate changed the result");
     assert!(
-        answered.outcome.lower_bound >= parent_outcome.lower_bound,
+        answered.lower_bound >= parent_outcome.lower_bound,
         "tightening reported a looser bound ({} < {})",
-        answered.outcome.lower_bound,
+        answered.lower_bound,
         parent_outcome.lower_bound
     );
     assert!(
-        answered.outcome.makespan >= parent_outcome.lower_bound,
+        answered.makespan >= parent_outcome.lower_bound,
         "child makespan {} undercuts the inherited certificate {}",
-        answered.outcome.makespan,
+        answered.makespan,
         parent_outcome.lower_bound
     );
 }

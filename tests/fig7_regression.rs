@@ -11,11 +11,17 @@
 //! If the shift is *intentional* (e.g. a better heuristic), regenerate the
 //! baseline by re-running the harness and commit the new
 //! `BENCH_sweep.json` alongside the change.
+//!
+//! A second baseline, `tests/exact_policy_600w.json`, pins the
+//! `EvaluatePolicy::Exact` makespans and energies of the same subsample
+//! at 600 W, so a change of the timetable the exact policy solves on
+//! cannot move a continuous-time result unnoticed. Regenerate it with
+//! `cargo test -p hilp-dse --test fig7_regression -- --ignored`.
 
 use std::collections::HashMap;
 
-use hilp_core::SolverConfig;
-use hilp_dse::{design_space, evaluate_space, ModelKind, SweepConfig};
+use hilp_core::{EvaluatePolicy, SolverConfig};
+use hilp_dse::{design_space, evaluate_space, DesignPoint, ModelKind, SweepConfig};
 use hilp_sched::TimetableKind;
 use hilp_soc::Constraints;
 use hilp_workloads::{Workload, WorkloadVariant};
@@ -152,6 +158,87 @@ fn subsampled_sweep_matches_the_committed_baseline() {
                 point.label,
                 point.gap,
                 gap,
+            );
+        }
+    }
+}
+
+/// The committed exact-policy fixture, relative to this file's crate.
+const EXACT_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/exact_policy_600w.json"
+);
+
+/// HILP under `EvaluatePolicy::Exact` on every `SUBSAMPLE_STEP`-th SoC at
+/// the paper's 600 W budget, with the committed sweep configuration.
+fn exact_subsample() -> Vec<DesignPoint> {
+    let config = SweepConfig {
+        evaluate: EvaluatePolicy::exact(),
+        ..committed_config()
+    };
+    let socs: Vec<_> = design_space(4.0)
+        .into_iter()
+        .step_by(SUBSAMPLE_STEP)
+        .collect();
+    evaluate_space(
+        &Workload::rodinia(WorkloadVariant::Default),
+        &socs,
+        &Constraints::paper_default(),
+        ModelKind::Hilp,
+        &config,
+    )
+    .expect("exact sweep succeeds")
+}
+
+/// Writes `tests/exact_policy_600w.json`, one point per line, each float
+/// in its shortest round-trip form.
+#[test]
+#[ignore = "rewrites the committed exact-policy fixture"]
+fn write_exact_policy_fixture() {
+    let lines: Vec<String> = exact_subsample()
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"label\": \"{}\", \"makespan_seconds\": {:?}, \"energy_joules\": {:?}}}",
+                p.label, p.makespan_seconds, p.energy_joules
+            )
+        })
+        .collect();
+    let text = format!(
+        "{{\n  \"model\": \"HILP\",\n  \"policy\": \"exact\",\n  \"power_w\": 600,\n  \
+         \"subsample_step\": {SUBSAMPLE_STEP},\n  \"points\": [\n{}\n  ]\n}}\n",
+        lines.join(",\n")
+    );
+    std::fs::write(EXACT_FIXTURE, text).unwrap_or_else(|e| panic!("write {EXACT_FIXTURE}: {e}"));
+}
+
+#[test]
+fn subsampled_exact_sweep_matches_the_committed_fixture() {
+    let text = std::fs::read_to_string(EXACT_FIXTURE)
+        .unwrap_or_else(|e| panic!("read {EXACT_FIXTURE}: {e}"));
+    let committed: Vec<(String, f64, f64)> = text
+        .lines()
+        .filter_map(|line| {
+            let label = str_field(line, "label")?;
+            let makespan = num_field(line, "makespan_seconds")
+                .unwrap_or_else(|| panic!("makespan missing on: {line}"));
+            let energy = num_field(line, "energy_joules")
+                .unwrap_or_else(|| panic!("energy missing on: {line}"));
+            Some((label, makespan, energy))
+        })
+        .collect();
+    let points = exact_subsample();
+    assert_eq!(points.len(), committed.len(), "one fixture point per SoC");
+    for (point, (label, makespan, energy)) in points.iter().zip(&committed) {
+        assert_eq!(&point.label, label, "fixture order matches the subsample");
+        for (what, recomputed, pinned) in [
+            ("makespan", point.makespan_seconds, *makespan),
+            ("energy", point.energy_joules, *energy),
+        ] {
+            let rel = (recomputed - pinned).abs() / pinned.abs().max(1e-12);
+            assert!(
+                rel <= 1e-9,
+                "{label}: exact-policy {what} {recomputed} vs committed {pinned} (rel {rel:.3e})"
             );
         }
     }

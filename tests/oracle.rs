@@ -95,10 +95,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The incremental delta solver must agree bit for bit with a
-    /// from-scratch solve after a random single-axis perturbation — under
-    /// the exact configuration on tiny instances and under the sweep's
-    /// heuristic-only configuration (the certificate tier) on small ones.
+    /// The what-if shortcuts (identity replay, transferred parent bound)
+    /// must agree bit for bit with a from-scratch solve after a random
+    /// single-axis perturbation — under the exact configuration on tiny
+    /// instances and under the sweep's heuristic-only configuration (where
+    /// parent bounds transfer) on small ones.
     #[test]
     fn delta_solves_match_scratch_solves(
         tiny in arb_instance(InstanceParams::tiny()),

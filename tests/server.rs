@@ -163,6 +163,47 @@ fn disconnect_cancels_the_job_and_frees_the_tenant_slot() {
     }
 }
 
+/// A serial client may submit again the moment it reads a job's terminal
+/// record: the daemon reaps the finished job thread instead of refusing
+/// the next submission as if the job were still running.
+#[test]
+fn back_to_back_jobs_on_one_connection_are_all_accepted() {
+    let addr = spawn_daemon(&ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    for job in 0..20 {
+        let outcome = client
+            .run_job(spec_job("serial", 2, 4), |_| {})
+            .expect("stream");
+        assert_eq!(outcome.event, "finished", "job {job}: {outcome:?}");
+    }
+}
+
+/// A spec whose core count would allocate without bound is refused
+/// before any work starts, with a reason naming the field, and the same
+/// connection keeps serving.
+#[test]
+fn oversized_spec_is_rejected_and_the_daemon_keeps_serving() {
+    let addr = spawn_daemon(&ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let outcome = client
+        .run_job(
+            SubmitRequest {
+                tenant: "t".to_string(),
+                job: JobSpec::Spec {
+                    text: "cpus = 4000000000\n".to_string(),
+                },
+                deadline_seconds: None,
+                per_point_nodes: None,
+            },
+            |_| {},
+        )
+        .expect("stream");
+    assert_eq!(outcome.event, "rejected", "{outcome:?}");
+    assert!(outcome.detail.contains("cpus"), "{outcome:?}");
+    let outcome = client.run_job(spec_job("t", 2, 4), |_| {}).expect("stream");
+    assert_eq!(outcome.event, "finished", "{outcome:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

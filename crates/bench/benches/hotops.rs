@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the sweep engine's hot operations: every
 //! timetable backend's feasibility probe and place/undo splice (the inner
-//! loop of every SGS pass), the cross-point `BoundStore` lookup that every
-//! refinement level performs in a bound-sharing sweep, and the full
-//! evaluator under grid refinement vs. the single exact finest-tick solve.
+//! loop of every SGS pass), the dominance-lattice build over the Fig. 7
+//! space, and the full evaluator under grid refinement vs. the single
+//! exact finest-tick solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -10,7 +10,7 @@ use std::hint::black_box;
 use hilp_core::{
     encode, Constraints, EvaluatePolicy, Hilp, SocSpec, TimeStepPolicy, Workload, WorkloadVariant,
 };
-use hilp_dse::{design_space, BoundStore, DominanceLattice};
+use hilp_dse::{design_space, DominanceLattice};
 use hilp_sched::{
     solve_exact, solve_heuristic, Instance, InstanceBuilder, Mode, SolverConfig, TaskId, Timetable,
     TimetableKind,
@@ -91,35 +91,8 @@ fn timetable_bench(c: &mut Criterion) {
     }
 }
 
-fn bound_store_bench(c: &mut Criterion) {
-    // The full 372-point Fig. 7 lattice with every level's bound
-    // published, queried for its most-dominated point — the worst-case
-    // lookup a sweep issues before each refinement level.
+fn lattice_bench(c: &mut Criterion) {
     let socs = design_space(4.0);
-    let lattice = DominanceLattice::build(&socs);
-    let levels = 5usize;
-    let store = BoundStore::new(socs.len(), levels);
-    for point in 0..socs.len() {
-        for level in 0..levels {
-            store.publish(point, level, 10 + (point % 7) as u32 + level as u32);
-        }
-    }
-    let most_dominated = (0..socs.len())
-        .max_by_key(|&i| lattice.dominators(i).len())
-        .unwrap();
-    c.bench_function("hotops/bound_store_best_inherited", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for level in 0..levels {
-                acc = acc.wrapping_add(
-                    store
-                        .best_inherited(lattice.dominators(black_box(most_dominated)), level)
-                        .unwrap_or(0),
-                );
-            }
-            black_box(acc)
-        });
-    });
     c.bench_function("hotops/lattice_build_372", |b| {
         b.iter(|| black_box(DominanceLattice::build(&socs).edges()));
     });
@@ -221,6 +194,6 @@ fn evaluate_policy_bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = timetable_bench, bound_store_bench, bnb_bench, evaluate_policy_bench
+    targets = timetable_bench, lattice_bench, bnb_bench, evaluate_policy_bench
 }
 criterion_main!(benches);

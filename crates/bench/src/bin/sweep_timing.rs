@@ -8,11 +8,10 @@
 //! * *baseline* — event-driven timetable plus instance memoization, no
 //!   bound reuse: the previously-committed hot path, kept as the yardstick
 //!   for the cross-point improvements.
-//! * *optimized* — baseline plus proven-bound termination and cross-point
-//!   bound sharing along the dominance lattice.
+//! * *optimized* — baseline plus proven-bound termination.
 //!
 //! It then writes the timings, both speedups, a per-point correctness
-//! check, bound-sharing effectiveness statistics, and the optimized run's
+//! check, bound-termination statistics, and the optimized run's
 //! per-point makespans (consumed by the Fig. 7 regression test in
 //! `tests/fig7_regression.rs`) to `BENCH_sweep.json`.
 //!
@@ -55,8 +54,7 @@
 //! The correctness gates run every time: per-point makespans must agree
 //! across reference and optimized within the reported optimality gaps;
 //! the optimized run must be *bit-identical* to the baseline run — bound
-//! termination and sharing are pure work-skipping and may never move a
-//! result; every exact makespan must be a valid *lower-or-equal*
+//! termination is pure work-skipping and may never move a result; every exact makespan must be a valid *lower-or-equal*
 //! counterpart of the grid makespan on the same point (the exact path has
 //! no residual discretization inflation to hide behind); every
 //! parallel-exact variant must be bit-identical to the single-worker
@@ -145,7 +143,6 @@ fn reference_config(threads: usize) -> SweepConfig {
         },
         threads,
         memoize: false,
-        share_bounds: false,
         ..SweepConfig::default()
     }
 }
@@ -165,13 +162,11 @@ fn baseline_config(threads: usize) -> SweepConfig {
         },
         threads,
         memoize: true,
-        share_bounds: false,
         ..SweepConfig::default()
     }
 }
 
-/// The current hot path: baseline plus proven-bound early termination and
-/// cross-point bound sharing along the dominance lattice.
+/// The current hot path: baseline plus proven-bound early termination.
 fn optimized_config(threads: usize) -> SweepConfig {
     SweepConfig {
         solver: SolverConfig {
@@ -181,7 +176,6 @@ fn optimized_config(threads: usize) -> SweepConfig {
         },
         threads,
         memoize: true,
-        share_bounds: true,
         ..SweepConfig::default()
     }
 }
@@ -310,18 +304,17 @@ fn main() {
         // near-optimal, not canonical, schedules; the gap bounds how far
         // apart they may be).
         let (max_rel_diff, max_allowed) = compare(&ref_points, &opt_points);
-        // Correctness gate 2: bound termination and sharing are pure
-        // work-skipping — the optimized run must reproduce the baseline
-        // run bit for bit.
+        // Correctness gate 2: bound termination is pure work-skipping —
+        // the optimized run must reproduce the baseline run bit for bit.
         let bit_identical = opt_points == base_points;
         reporter.say(&format!(
             "  {:<7} reference {reference_seconds:7.2}s  baseline {baseline_seconds:7.2}s  \
              optimized {optimized_seconds:7.2}s  ({:.2}x vs baseline, {} cache hits, \
-             {:.0}% levels inherited, bit-identical: {bit_identical})",
+             {} early-terminated levels, bit-identical: {bit_identical})",
             model.name(),
             baseline_seconds / optimized_seconds.max(1e-9),
             stats.cache_hits,
-            stats.inheritance_hit_rate() * 100.0,
+            stats.early_terminated_levels,
         ));
         runs.push(ModelRun {
             model,
@@ -554,7 +547,7 @@ fn main() {
              edited {edited_scratch_seconds:.2}s -> {edited_delta_seconds:.2}s \
              ({edited_speedup:.2}x, {} levels certified, bit-identical); \
              repeat what-if median {repeat_median_ms:.3} ms",
-            identity_stats.delta_identity_points, edited_stats.delta_certified_levels,
+            identity_stats.delta_identity_points, edited_stats.bound_inherited_levels,
         ));
         DeltaRun {
             recorded_seconds,
@@ -564,7 +557,7 @@ fn main() {
             edited_scratch_seconds,
             edited_delta_seconds,
             edited_speedup,
-            certified_levels: edited_stats.delta_certified_levels,
+            certified_levels: edited_stats.bound_inherited_levels,
             repeat_median_ms,
         }
     };
@@ -727,7 +720,7 @@ fn main() {
     );
     assert!(
         bit_identical,
-        "bound sharing changed reported results; it must be transparent"
+        "bound termination changed reported results; it must be transparent"
     );
     // Correctness-adjacent wall-clock gate: the certificate-armed edited
     // sweep only ever *skips* solver work relative to scratch, so running
@@ -1022,18 +1015,18 @@ fn render_markdown_summary(
         }
     ));
     md.push_str(
-        "| model | reference (s) | baseline (s) | optimized (s) | cache hits | levels inherited | truncated points |\n\
+        "| model | reference (s) | baseline (s) | optimized (s) | cache hits | early-terminated levels | truncated points |\n\
          |---|---:|---:|---:|---:|---:|---:|\n",
     );
     for r in runs {
         md.push_str(&format!(
-            "| {} | {:.2} | {:.2} | {:.2} | {} | {:.0}% | {} |\n",
+            "| {} | {:.2} | {:.2} | {:.2} | {} | {} | {} |\n",
             r.model.name(),
             r.reference_seconds,
             r.baseline_seconds,
             r.optimized_seconds,
             r.stats.cache_hits,
-            r.stats.inheritance_hit_rate() * 100.0,
+            r.stats.early_terminated_levels,
             r.stats.truncated_points,
         ));
     }
@@ -1324,7 +1317,7 @@ fn render_json(
          \"socs\": {socs},\n  \
          \"reference\": \"dense timetable, serial multi-start, no memo, no bound reuse\",\n  \
          \"baseline\": \"event timetable, instance memoization\",\n  \
-         \"optimized\": \"event timetable, memoization, bound termination, cross-point bound sharing\",\n  \
+         \"optimized\": \"event timetable, memoization, bound termination\",\n  \
          \"reference_seconds\": {total_ref:.4},\n  \"baseline_seconds\": {total_base:.4},\n  \
          \"optimized_seconds\": {total_opt:.4},\n  \
          \"speedup\": {speedup:.3},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.3},\n  \

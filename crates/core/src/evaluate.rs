@@ -223,8 +223,8 @@ pub struct LevelReport<'a> {
 }
 
 /// Hook into the adaptive-refinement loop of [`Hilp::evaluate_with_observer`],
-/// letting a coordinator (e.g. a dominance-aware DSE sweep) inject proven
-/// lower bounds per level and harvest what each level proved.
+/// letting a coordinator (e.g. a DSE sweep armed with a recorded baseline)
+/// inject proven lower bounds per level and harvest what each level proved.
 ///
 /// Injected bounds must be sound — true lower bounds on the *optimal*
 /// makespan of this evaluator's instance at that exact time step. Sound
@@ -243,19 +243,6 @@ pub trait RefinementObserver {
         instance: &Instance,
     ) -> Option<u32> {
         let _ = (level, time_step_seconds, instance);
-        None
-    }
-
-    /// A feasible schedule for the given level's instance (e.g. lifted
-    /// from a dominated design point via `lift_schedule`), or `None`. The
-    /// solver verifies it and adopts it only when strictly better than its
-    /// own heuristic incumbent — which makes a supplied incumbent
-    /// *result-visible*, unlike an external bound. Coordinators that
-    /// promise bit-identical results (the DSE sweep does) must therefore
-    /// leave this hook alone; it exists for callers that want the best
-    /// schedule money can buy and accept order-dependent results.
-    fn warm_incumbent(&self, level: u32, instance: &Instance) -> Option<Schedule> {
-        let _ = (level, instance);
         None
     }
 
@@ -573,7 +560,6 @@ impl Hilp {
                 encode(&self.workload, &self.soc, &self.constraints, time_step)?
             };
             let external = observer.external_lower_bound(refinements, time_step, &instance);
-            let incumbent = observer.warm_incumbent(refinements, &instance);
             let level_solver = self.level_solver(time_step);
             let (outcome, telemetry) = solve_with_hints(
                 &instance,
@@ -581,7 +567,7 @@ impl Hilp {
                 &SolveHints {
                     warm_priority: warm_order.as_deref(),
                     external_lower_bound: external,
-                    warm_incumbent: incumbent.as_ref(),
+                    ..SolveHints::default()
                 },
             )?;
             tel.incr(Counter::LevelsSolved);
@@ -868,8 +854,8 @@ impl Hilp {
     ///
     /// The observer is consulted at every pilot level with its true grid
     /// level index and at level `max_refinements` for the finest solve, so
-    /// a bound-sharing sweep prunes and publishes across an exact sweep
-    /// exactly as it does across a grid sweep.
+    /// a baseline-armed sweep certifies and records an exact sweep exactly
+    /// as it does a grid sweep.
     fn evaluate_exact(&self, observer: &dyn RefinementObserver) -> Result<Evaluation, HilpError> {
         let exact_step = self.policy.exact_tick_seconds();
         let final_level = self.policy.max_refinements;
@@ -905,14 +891,13 @@ impl Hilp {
                     encode(&self.workload, &self.soc, &self.constraints, time_step)?
                 };
                 let external = observer.external_lower_bound(level, time_step, &pilot_instance);
-                let incumbent = observer.warm_incumbent(level, &pilot_instance);
                 let (outcome, telemetry) = solve_with_hints(
                     &pilot_instance,
                     &exact_solver(time_step),
                     &SolveHints {
                         warm_priority: warm_order.as_deref(),
                         external_lower_bound: external,
-                        warm_incumbent: incumbent.as_ref(),
+                        ..SolveHints::default()
                     },
                 )?;
                 tel.incr(Counter::LevelsSolved);
@@ -981,24 +966,13 @@ impl Hilp {
             lift_to_finer_tick(schedule, from, &instance, factor as u32)
         });
         let external = observer.external_lower_bound(final_level, exact_step, &instance);
-        let observer_incumbent = observer.warm_incumbent(final_level, &instance);
-        // Both incumbent sources target the finest instance; hand the
-        // solver the better of the two (it verifies before adopting).
-        let incumbent = match (lifted, observer_incumbent) {
-            (Some(a), Some(b)) => Some(if b.makespan(&instance) < a.makespan(&instance) {
-                b
-            } else {
-                a
-            }),
-            (a, b) => a.or(b),
-        };
         let (outcome, telemetry) = solve_with_hints(
             &instance,
             &exact_solver(exact_step),
             &SolveHints {
                 warm_priority: warm_order.as_deref(),
                 external_lower_bound: external,
-                warm_incumbent: incumbent.as_ref(),
+                warm_incumbent: lifted.as_ref(),
             },
         )?;
         tel.incr(Counter::LevelsSolved);
@@ -1346,33 +1320,6 @@ mod tests {
                 .makespan_steps
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn observer_warm_incumbent_is_verified_and_adopted_transparently() {
-        struct Seeder(Schedule);
-        impl RefinementObserver for Seeder {
-            fn warm_incumbent(&self, _level: u32, _instance: &Instance) -> Option<Schedule> {
-                Some(self.0.clone())
-            }
-        }
-        let w = Workload::rodinia(WorkloadVariant::Default);
-        let soc = SocSpec::new(2).with_gpu(16);
-        let plain = Hilp::new(w.clone(), soc.clone())
-            .with_solver(fast_solver())
-            .with_policy(TimeStepPolicy::fixed(5.0))
-            .evaluate()
-            .unwrap();
-        // Seed the solver with its own best schedule: it is feasible (so
-        // it passes the adoption verification) but not strictly better, so
-        // the evaluation must come out unchanged.
-        let seeded = Hilp::new(w, soc)
-            .with_solver(fast_solver())
-            .with_policy(TimeStepPolicy::fixed(5.0))
-            .evaluate_with_observer(&Seeder(plain.schedule.clone()))
-            .unwrap();
-        assert_eq!(seeded.makespan_steps, plain.makespan_steps);
-        assert_eq!(seeded.schedule, plain.schedule);
     }
 
     #[test]

@@ -1,28 +1,16 @@
-//! The dominance partial order over design points, and the cross-point
-//! bound store that exploits it during sweeps.
+//! The dominance partial order over design points.
 //!
 //! Design point B *dominates* A when B's machine multiset is a superset of
-//! A's and B's constraint caps are at least A's. Every A-feasible schedule
-//! is then feasible on B verbatim (the extra machines idle, the looser caps
-//! absorb the same usage), so `opt(B) <= opt(A)` — the cap-relaxation
-//! monotonicity property `hilp-testkit` proves for single instances, lifted
-//! to whole design points. Two consequences drive the sweep engine in
-//! [`crate::sweep`]:
-//!
-//! * any proven lower bound on B's optimum is a proven lower bound on A's
-//!   (`LB(B) <= opt(B) <= opt(A)`), so solved loose points hand tight
-//!   termination targets to the points they dominate ([`BoundStore`]);
-//! * any feasible schedule for A re-maps machine-by-machine onto B as an
-//!   immediate feasible incumbent for B ([`lift_schedule`]).
+//! A's: every A-feasible schedule is then feasible on B verbatim (the
+//! extra machines idle), so `opt(B) <= opt(A)` under shared constraints.
+//! Sweeps evaluate every point on its own; the lattice is an analysis
+//! tool over a design space.
 //!
 //! Comparability is deliberately strict about accelerator identity: a
 //! bigger GPU or a wider DSA is a *different*, hungrier machine (more
 //! power/bandwidth per step), not a superset, so only exact matches count.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-use hilp_sched::{Instance, Schedule};
-use hilp_soc::{Constraints, SocSpec};
+use hilp_soc::SocSpec;
 
 /// Whether `a`'s machine multiset is a superset of `b`'s: at least as many
 /// CPU cores, the same GPU (or `b` has none), and `b`'s DSA multiset
@@ -54,23 +42,6 @@ pub fn soc_dominates(a: &SocSpec, b: &SocSpec) -> bool {
         used[slot] = true;
     }
     true
-}
-
-/// Whether `a`'s caps are at least as loose as `b`'s (`None` = unlimited).
-#[must_use]
-pub fn constraints_dominate(a: &Constraints, b: &Constraints) -> bool {
-    let cap_ge = |x: Option<f64>, y: Option<f64>| match (x, y) {
-        (None, _) => true,
-        (Some(_), None) => false,
-        (Some(x), Some(y)) => x >= y,
-    };
-    cap_ge(a.power_w, b.power_w) && cap_ge(a.bandwidth_gbps, b.bandwidth_gbps)
-}
-
-/// Full design-point dominance: machine superset and looser caps.
-#[must_use]
-pub fn point_dominates(a: (&SocSpec, &Constraints), b: (&SocSpec, &Constraints)) -> bool {
-    soc_dominates(a.0, b.0) && constraints_dominate(a.1, b.1)
 }
 
 /// The dominance relation over one design space, precomputed: per-point
@@ -118,8 +89,8 @@ impl DominanceLattice {
         &self.dominators[i]
     }
 
-    /// All point indices, loosest (most machines) first. Solving in this
-    /// order makes bound producers run ahead of their consumers.
+    /// All point indices, loosest (most machines) first: every dominator
+    /// precedes the points it dominates.
     #[must_use]
     pub fn order(&self) -> &[usize] {
         &self.order
@@ -132,166 +103,9 @@ impl DominanceLattice {
     }
 }
 
-/// Concurrent store of proven per-level lower bounds, one slot per
-/// `(design point, refinement level)`.
-///
-/// Slots hold bounds in *steps* at that level's discretization (identical
-/// across points: every point follows the same [`TimeStepPolicy`] schedule,
-/// so level `l` means the same step size everywhere). `0` means "nothing
-/// published". Publishing takes the running maximum, reads are lock-free,
-/// and races are harmless by design: a missed or stale bound only costs
-/// speed, never changes a result — bounds are termination targets, not
-/// outputs.
-///
-/// [`TimeStepPolicy`]: hilp_core::TimeStepPolicy
-#[derive(Debug)]
-pub struct BoundStore {
-    levels: usize,
-    slots: Vec<AtomicU32>,
-    publishes: AtomicUsize,
-}
-
-impl BoundStore {
-    /// A store for `points` design points with `levels` refinement levels
-    /// each (`max_refinements + 1`).
-    #[must_use]
-    pub fn new(points: usize, levels: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(points * levels, || AtomicU32::new(0));
-        BoundStore {
-            levels,
-            slots,
-            publishes: AtomicUsize::new(0),
-        }
-    }
-
-    fn slot(&self, point: usize, level: usize) -> Option<&AtomicU32> {
-        (level < self.levels).then(|| &self.slots[point * self.levels + level])
-    }
-
-    /// Publishes a proven lower bound (in steps) for `point` at `level`,
-    /// keeping the tightest value seen so far. Bounds of 0 carry no
-    /// information and are dropped; levels beyond the store's depth are
-    /// ignored.
-    pub fn publish(&self, point: usize, level: usize, bound_steps: u32) {
-        if bound_steps == 0 {
-            return;
-        }
-        if let Some(slot) = self.slot(point, level) {
-            slot.fetch_max(bound_steps, Ordering::Relaxed);
-            self.publishes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The tightest published bound for `point` at `level`, if any.
-    #[must_use]
-    pub fn get(&self, point: usize, level: usize) -> Option<u32> {
-        let value = self.slot(point, level)?.load(Ordering::Relaxed);
-        (value > 0).then_some(value)
-    }
-
-    /// The tightest bound inherited from any of `dominators` at `level`:
-    /// each dominator's optimum is at most the dominated point's, so its
-    /// lower bounds transfer soundly downward.
-    #[must_use]
-    pub fn best_inherited(&self, dominators: &[usize], level: usize) -> Option<u32> {
-        dominators.iter().filter_map(|&d| self.get(d, level)).max()
-    }
-
-    /// Raw per-level bounds for `point` (`0` = none), for caching a solved
-    /// point's contributions alongside its memoized result.
-    #[must_use]
-    pub fn point_levels(&self, point: usize) -> Vec<u32> {
-        (0..self.levels)
-            .map(|l| self.slot(point, l).map_or(0, |s| s.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Re-publishes previously captured per-level bounds for `point`, used
-    /// when a memo-cache hit replays a solved instance's bounds so the
-    /// hit's own dominated points can still inherit them.
-    pub fn publish_levels(&self, point: usize, bounds: &[u32]) {
-        for (level, &bound) in bounds.iter().enumerate() {
-            self.publish(point, level, bound);
-        }
-    }
-
-    /// Total successful publishes (for stats).
-    #[must_use]
-    pub fn publishes(&self) -> usize {
-        self.publishes.load(Ordering::Relaxed)
-    }
-}
-
-/// Re-maps a schedule from a dominated instance onto a dominating one:
-/// same start times, each task's mode moved to the same-named machine
-/// (matching same-named machines by occurrence order) on a mode that is at
-/// most as slow and at most as hungry on every axis. Returns `None` when no
-/// such machine or mode exists — i.e. when `to` does not actually dominate
-/// `from`, or the instances come from different workloads.
-///
-/// Feasibility argument: start times are unchanged; durations only shrink,
-/// so precedence and lag slack only grows; the machine re-map is injective,
-/// so no new machine conflicts appear; and per-step power/bandwidth/core/
-/// resource usage is pointwise at most the original, which satisfied the
-/// tighter instance's caps. Callers still verify (`Schedule::verify`)
-/// before trusting the result — see `SolveHints::warm_incumbent`.
-#[must_use]
-pub fn lift_schedule(schedule: &Schedule, from: &Instance, to: &Instance) -> Option<Schedule> {
-    let n = from.num_tasks();
-    if schedule.modes.len() != n || schedule.starts.len() != n || to.num_tasks() != n {
-        return None;
-    }
-    // Pair each source machine with a distinct same-named target machine.
-    let mut machine_map = Vec::with_capacity(from.machines().len());
-    let mut taken = vec![false; to.machines().len()];
-    for name in from.machines() {
-        let target = to
-            .machines()
-            .iter()
-            .enumerate()
-            .position(|(j, m)| !taken[j] && m == name)?;
-        taken[target] = true;
-        machine_map.push(target);
-    }
-
-    let mut modes = Vec::with_capacity(n);
-    for (t, &mode_id) in schedule.modes.iter().enumerate() {
-        let src = from.task(hilp_sched::TaskId(t)).modes.get(mode_id.0)?;
-        let target_machine = machine_map[src.machine.0];
-        // Cheapest compatible mode on the mapped machine: every axis at
-        // most the source mode's, so the lifted schedule's usage profile is
-        // pointwise dominated by the original feasible one.
-        let (best, _) = to
-            .task(hilp_sched::TaskId(t))
-            .modes
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| {
-                m.machine.0 == target_machine
-                    && m.duration <= src.duration
-                    && m.power <= src.power
-                    && m.bandwidth <= src.bandwidth
-                    && m.cores <= src.cores
-                    && m.resource_usage.iter().all(|&(r, u)| u <= src.usage_of(r))
-            })
-            .min_by(|(_, a), (_, b)| {
-                (a.duration, a.power, a.bandwidth)
-                    .partial_cmp(&(b.duration, b.power, b.bandwidth))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })?;
-        modes.push(hilp_sched::ModeId(best));
-    }
-    Some(Schedule {
-        starts: schedule.starts.clone(),
-        modes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilp_sched::{InstanceBuilder, Mode};
     use hilp_soc::DsaSpec;
 
     #[test]
@@ -328,19 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn constraint_caps_compare_with_none_as_infinite() {
-        let unlimited = Constraints::unconstrained();
-        let paper = Constraints::paper_default();
-        assert!(constraints_dominate(&unlimited, &paper));
-        assert!(!constraints_dominate(&paper, &unlimited));
-        assert!(constraints_dominate(&paper, &paper));
-        assert!(point_dominates(
-            (&SocSpec::new(2), &unlimited),
-            (&SocSpec::new(1), &paper)
-        ));
-    }
-
-    #[test]
     fn lattice_order_is_topological() {
         let socs = vec![
             SocSpec::new(1),
@@ -370,79 +171,5 @@ mod tests {
         assert!(lattice.dominators(0).contains(&2));
         assert!(lattice.dominators(2).contains(&3));
         assert!(lattice.edges() >= 4);
-    }
-
-    #[test]
-    fn bound_store_keeps_the_tightest_bound() {
-        let store = BoundStore::new(3, 2);
-        assert_eq!(store.get(1, 0), None);
-        store.publish(1, 0, 5);
-        store.publish(1, 0, 3); // looser: ignored
-        assert_eq!(store.get(1, 0), Some(5));
-        store.publish(1, 0, 9);
-        assert_eq!(store.get(1, 0), Some(9));
-        store.publish(2, 1, 4);
-        assert_eq!(store.best_inherited(&[1, 2], 0), Some(9));
-        assert_eq!(store.best_inherited(&[2], 0), None);
-        assert_eq!(store.best_inherited(&[1, 2], 1), Some(4));
-        // Out-of-range levels and zero bounds are ignored.
-        store.publish(0, 7, 11);
-        store.publish(0, 0, 0);
-        assert_eq!(store.get(0, 0), None);
-        assert_eq!(store.point_levels(1), vec![9, 0]);
-        let replay = BoundStore::new(3, 2);
-        replay.publish_levels(1, &store.point_levels(1));
-        assert_eq!(replay.get(1, 0), Some(9));
-    }
-
-    #[test]
-    fn lift_schedule_remaps_onto_the_superset() {
-        // Source: one CPU. Target: the same CPU plus a second one — the
-        // target's modes on the shared machine are one step faster, as a
-        // finer discretization would produce.
-        let mut from = InstanceBuilder::new();
-        let cpu = from.add_machine("cpu0");
-        let a = from.add_task("a", vec![Mode::on(cpu, 4).power(10.0)]);
-        let b2 = from.add_task("b", vec![Mode::on(cpu, 3).power(10.0)]);
-        from.add_precedence(a, b2);
-        from.set_horizon(30);
-        let from = from.build().unwrap();
-
-        let mut to = InstanceBuilder::new();
-        let cpu = to.add_machine("cpu0");
-        let extra = to.add_machine("cpu1");
-        to.add_task("a", vec![Mode::on(cpu, 4).power(10.0), Mode::on(extra, 9)]);
-        to.add_task("b", vec![Mode::on(cpu, 2).power(8.0), Mode::on(extra, 9)]);
-        to.add_precedence(hilp_sched::TaskId(0), hilp_sched::TaskId(1));
-        to.set_horizon(30);
-        let to = to.build().unwrap();
-
-        let schedule = hilp_sched::solve(&from, &hilp_core::SolverConfig::sweep())
-            .unwrap()
-            .schedule;
-        let lifted = lift_schedule(&schedule, &from, &to).expect("liftable");
-        assert!(lifted.verify(&to).is_empty());
-        assert_eq!(lifted.starts, schedule.starts);
-        assert!(lifted.makespan(&to) <= schedule.makespan(&from));
-    }
-
-    #[test]
-    fn lift_fails_when_the_target_is_not_a_superset() {
-        let mut from = InstanceBuilder::new();
-        let cpu = from.add_machine("cpu0");
-        from.add_task("a", vec![Mode::on(cpu, 2)]);
-        from.set_horizon(10);
-        let from = from.build().unwrap();
-
-        let mut to = InstanceBuilder::new();
-        let gpu = to.add_machine("gpu16");
-        to.add_task("a", vec![Mode::on(gpu, 1)]);
-        to.set_horizon(10);
-        let to = to.build().unwrap();
-
-        let schedule = hilp_sched::solve(&from, &hilp_core::SolverConfig::sweep())
-            .unwrap()
-            .schedule;
-        assert!(lift_schedule(&schedule, &from, &to).is_none());
     }
 }

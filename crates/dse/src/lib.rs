@@ -31,10 +31,7 @@ pub mod specfile;
 pub mod sweep;
 
 pub use hilp_parallel::ThreadBudget;
-pub use lattice::{
-    constraints_dominate, lift_schedule, point_dominates, soc_dominates, BoundStore,
-    DominanceLattice,
-};
+pub use lattice::{soc_dominates, DominanceLattice};
 pub use pareto::{pareto_front, ParetoPoint};
 pub use space::design_space;
 pub use sweep::{

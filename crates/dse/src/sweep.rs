@@ -1,14 +1,12 @@
 //! Parallel evaluation of design spaces under the three models.
 //!
-//! The HILP sweep is dominance-aware (see [`crate::lattice`]): points are
-//! pulled from a loosest-first work queue, each solved point publishes its
-//! proven per-level lower bounds into a shared [`BoundStore`], and every
-//! point inherits the tightest bound from the points that dominate it as a
-//! termination target for its own solve. Crucially this sharing is
-//! *transparent*: inherited bounds only stop the heuristic once its
-//! incumbent provably cannot improve, so every reported value — makespan,
-//! gap, schedule-derived WLP — is bit-identical to a sweep with sharing
-//! disabled, for any thread count. `tests/bound_sharing.rs` enforces this.
+//! Every design point is evaluated on its own; workers claim points in
+//! input order and results are slotted by index, so every reported value
+//! is bit-identical for any thread count. Work is shared across points in
+//! two result-invariant ways only: a memo cache keyed by the encoded
+//! instance trajectory, and a recorded [`SweepBaseline`] of a related
+//! sweep (identity replay and tightening certificates, see
+//! [`SweepConfig::baseline`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,7 +24,6 @@ use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{BudgetLayer, Counter, Telemetry};
 use hilp_workloads::Workload;
 
-use crate::lattice::{BoundStore, DominanceLattice};
 use crate::pareto::ParetoPoint;
 
 /// Which evaluation model a sweep uses.
@@ -139,16 +136,6 @@ pub struct SweepConfig {
     /// — and therefore the result — is identical. Applies to the HILP and
     /// Gables models (MultiAmdahl is too cheap to be worth caching).
     pub memoize: bool,
-    /// Share proven lower bounds across HILP design points along the
-    /// dominance lattice (see [`crate::lattice`]): a dominating point's
-    /// solved bounds become termination targets for the points it
-    /// dominates. Sharing never changes any reported value (bounds only
-    /// stop provably-finished searches), so results stay bit-identical
-    /// with sharing on or off and for any thread count. Only active for
-    /// heuristic-only solver configurations (`exact_node_budget == 0`,
-    /// the sweep default): an exact phase *would* consume external bounds
-    /// result-visibly, so it is excluded to keep sweeps deterministic.
-    pub share_bounds: bool,
     /// Structured telemetry sink for the whole sweep. When enabled it is
     /// propagated into every per-point solver at sweep start, so spans and
     /// counters from all layers (sweep, evaluator, scheduler) land in one
@@ -173,9 +160,7 @@ pub struct SweepConfig {
     ///   constraints equal the recorded ones (under a matching
     ///   configuration) returns the recorded result verbatim; the
     ///   evaluation pipeline is deterministic, so re-running it would
-    ///   reproduce the recording bit for bit. The replayed point still
-    ///   republishes its recorded per-level bounds into the dominance
-    ///   lattice for the points it dominates.
+    ///   reproduce the recording bit for bit.
     /// * **Bound certificates** — for every refinement level, the
     ///   recorded parent instance (captured from the recording solve
     ///   itself) is diffed against the level's current instance
@@ -213,7 +198,6 @@ impl Default for SweepConfig {
             solver: SolverConfig::sweep(),
             threads: 0,
             memoize: true,
-            share_bounds: true,
             telemetry: Telemetry::disabled(),
             budgets: SweepBudgets::default(),
             baseline: None,
@@ -434,8 +418,8 @@ fn design_point(soc: &SocSpec, scalars: &PointScalars) -> DesignPoint {
     }
 }
 
-/// Sweep-wide statistics: cache effectiveness, bound-sharing effectiveness,
-/// and per-point solve-time attribution.
+/// Sweep-wide statistics: cache and baseline effectiveness, bound
+/// termination, and per-point solve-time attribution.
 ///
 /// The timing and work-count fields describe *how* the sweep ran, not what
 /// it computed; they vary with thread interleaving while the returned
@@ -451,15 +435,13 @@ pub struct SweepStats {
     /// `threads: 0` was requested but the core count could not be
     /// determined, so the sweep fell back to 4 workers.
     pub parallelism_fallback: bool,
-    /// Whether cross-point bound sharing was active for this sweep.
-    pub bounds_shared: bool,
-    /// Dominance edges in the design space's lattice (0 when not shared).
-    pub lattice_edges: usize,
     /// Refinement levels solved across all HILP evaluations.
     pub levels_solved: usize,
-    /// Levels that inherited a bound from a dominating point.
+    /// Levels that took a proven bound certificate from
+    /// [`SweepConfig::baseline`] (a delta-checked tightening of the
+    /// recorded level's instance).
     pub bound_inherited_levels: usize,
-    /// Histogram of how much the inherited bound tightened the level's own
+    /// Histogram of how much each certificate tightened the level's own
     /// combinatorial bound, in steps: `[0, 1, 2-3, 4-7, >=8]`.
     pub bound_tightening_histogram: [usize; 5],
     /// Levels whose heuristic stopped early because its incumbent reached
@@ -483,14 +465,10 @@ pub struct SweepStats {
     /// Design points answered verbatim from [`SweepConfig::baseline`]
     /// because their inputs were unchanged since the recording.
     pub delta_identity_points: usize,
-    /// Refinement levels that inherited a proven bound from
-    /// [`SweepConfig::baseline`] via a delta-checked tightening
-    /// certificate.
-    pub delta_certified_levels: usize,
 }
 
 impl SweepStats {
-    /// Fraction of solved levels that inherited a cross-point bound.
+    /// Fraction of solved levels that took a baseline bound certificate.
     #[must_use]
     pub fn inheritance_hit_rate(&self) -> f64 {
         if self.levels_solved == 0 {
@@ -560,8 +538,8 @@ impl SweepBaseline {
     /// Identity tier: when the point's inputs and the sweep configuration
     /// are exactly what the baseline recorded, the recorded result *is*
     /// the result (the pipeline is deterministic), rebuilt around the
-    /// caller's SoC value. Returns the recorded point alongside so the
-    /// caller can republish its per-level bounds.
+    /// caller's SoC value. Returns the recorded point alongside so a
+    /// recording caller can re-record its levels.
     fn replay(
         &self,
         index: usize,
@@ -631,8 +609,8 @@ fn same_tick(a: f64, b: f64) -> bool {
 
 /// Hash of every sweep knob that can change a design point's result given
 /// the same encoded instances (mirrors the per-evaluator key in
-/// `hilp-core`). Thread counts, memoization, bound sharing, and telemetry
-/// are excluded — all proven result-invariant; budgets are handled
+/// `hilp-core`). Thread counts, memoization, and telemetry are excluded —
+/// all proven result-invariant; budgets are handled
 /// separately (both baseline tiers require them inactive).
 fn sweep_config_key(config: &SweepConfig) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -737,15 +715,6 @@ impl BaselineRecorder {
     }
 }
 
-/// Cached scalar results of one evaluation, plus the per-level bounds the
-/// solved point published (so a cache hit can republish them for its own
-/// dominated points — a hit point may dominate points its twin does not).
-#[derive(Clone)]
-struct CacheEntry {
-    scalars: PointScalars,
-    level_bounds: Vec<u32>,
-}
-
 /// Shards of the solve memo. Sixteen shards keep lock contention negligible
 /// for any realistic worker count while the power-of-two mask makes shard
 /// selection branch-free; keys are fingerprint hashes, so their low bits
@@ -763,7 +732,7 @@ struct SolveCache {
     key_workload: Workload,
     /// The *effective* constraints (power budget dropped for Gables).
     key_constraints: Constraints,
-    shards: Vec<Mutex<HashMap<u64, CacheEntry>>>,
+    shards: Vec<Mutex<HashMap<u64, PointScalars>>>,
     hits: AtomicUsize,
 }
 
@@ -807,30 +776,30 @@ impl SolveCache {
         })
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CacheEntry>> {
+    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, PointScalars>> {
         &self.shards[(key as usize) & (CACHE_SHARDS - 1)]
     }
 
-    fn get(&self, key: u64) -> Option<CacheEntry> {
+    fn get(&self, key: u64) -> Option<PointScalars> {
         let hit = self
             .shard(key)
             .lock()
             .expect("cache shard")
             .get(&key)
-            .cloned();
+            .copied();
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    fn insert(&self, key: u64, entry: CacheEntry) {
+    fn insert(&self, key: u64, scalars: PointScalars) {
         // Two workers may race on the same key; both solves are
         // deterministic and identical, so last-write-wins is benign.
         self.shard(key)
             .lock()
             .expect("cache shard")
-            .insert(key, entry);
+            .insert(key, scalars);
     }
 
     /// Fingerprints the instance at *every* discretization level the
@@ -853,13 +822,6 @@ impl SolveCache {
         }
         Ok(combined)
     }
-}
-
-/// Shared state of a bound-sharing sweep: the dominance lattice over the
-/// input SoCs and the concurrent per-level bound store.
-struct ShareState {
-    lattice: DominanceLattice,
-    store: BoundStore,
 }
 
 /// Mints one fresh [`Budget`] per design point at claim time,
@@ -923,15 +885,12 @@ struct SweepCounters {
     jobs_total: AtomicU64,
     jobs_executed: AtomicU64,
     delta_identity: AtomicUsize,
-    delta_certified: AtomicUsize,
 }
 
-/// Per-point refinement observer: pulls inherited bounds from dominators
-/// (and tightening certificates from a cross-sweep baseline) before each
-/// level's solve, publishes what the level proved, and records levels for
-/// [`evaluate_space_recorded`].
+/// Per-point refinement observer: pulls tightening certificates from a
+/// cross-sweep baseline before each level's solve, counts what the level
+/// did, and records levels for [`evaluate_space_recorded`].
 struct PointOracle<'a> {
-    share: Option<&'a ShareState>,
     baseline: Option<&'a SweepBaseline>,
     recorder: Option<&'a BaselineRecorder>,
     counters: &'a SweepCounters,
@@ -948,30 +907,13 @@ impl RefinementObserver for PointOracle<'_> {
         time_step_seconds: f64,
         instance: &Instance,
     ) -> Option<u32> {
-        // Both sources are proven lower bounds on this level's optimum;
-        // the tighter one wins, and either alone still helps.
-        let inherited = self.share.and_then(|share| {
-            share
-                .store
-                .best_inherited(share.lattice.dominators(self.point), level as usize)
-        });
-        let certified = self.baseline.and_then(|baseline| {
-            let bound = baseline.certificate(
-                self.point,
-                level,
-                time_step_seconds,
-                instance,
-                self.objective,
-            )?;
-            self.counters
-                .delta_certified
-                .fetch_add(1, Ordering::Relaxed);
-            Some(bound)
-        });
-        match (inherited, certified) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        }
+        self.baseline?.certificate(
+            self.point,
+            level,
+            time_step_seconds,
+            instance,
+            self.objective,
+        )
     }
 
     fn level_solved(&self, report: &LevelReport<'_>) {
@@ -1018,18 +960,6 @@ impl RefinementObserver for PointOracle<'_> {
             };
             c.tightening[bin].fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(share) = self.share {
-            // Everything this level proved, for the points we dominate: our
-            // own combinatorial bound and the inherited one are both true
-            // lower bounds on our optimum, which upper-bounds theirs. (When
-            // the solve terminated early the makespan *equals* this value.)
-            let bound = report
-                .lower_bound_steps
-                .max(report.external_bound_steps.unwrap_or(0));
-            share
-                .store
-                .publish(self.point, report.level as usize, bound);
-        }
     }
 }
 
@@ -1040,35 +970,21 @@ fn evaluate_soc_cached(
     model: ModelKind,
     config: &SweepConfig,
     cache: Option<&SolveCache>,
-    oracle: Option<&PointOracle<'_>>,
+    oracle: &PointOracle<'_>,
 ) -> Result<(DesignPoint, Option<BudgetKind>, bool), HilpError> {
     let key = match cache {
         Some(c) => Some(c.key(soc, config)?),
         None => None,
     };
     if let (Some(c), Some(k)) = (cache, key) {
-        if let Some(entry) = c.get(k) {
-            // Replay the twin's published bounds under *this* point's
-            // index: the hit point may dominate points its twin does not.
-            if let Some(share) = oracle.and_then(|o| o.share) {
-                share.store.publish_levels(
-                    oracle.expect("share implies oracle").point,
-                    &entry.level_bounds,
-                );
-            }
+        if let Some(scalars) = c.get(k) {
             // Truncated results are never inserted, so a hit is never
             // truncated.
-            return Ok((design_point(soc, &entry.scalars), None, true));
+            return Ok((design_point(soc, &scalars), None, true));
         }
     }
-    let (point, truncated) = evaluate_soc_observed(
-        workload,
-        soc,
-        constraints,
-        model,
-        config,
-        oracle.map(|o| o as &dyn RefinementObserver),
-    )?;
+    let (point, truncated) =
+        evaluate_soc_observed(workload, soc, constraints, model, config, Some(oracle))?;
     // A result produced after a cancel trip (the only budget the cache
     // tolerates) depends on when the trip landed, not just on the
     // instance: it must not be memoized. The sticky `exhausted` check
@@ -1077,20 +993,14 @@ fn evaluate_soc_cached(
     // remaining results are being discarded anyway.
     if truncated.is_none() && config.solver.budget.exhausted().is_none() {
         if let (Some(c), Some(k)) = (cache, key) {
-            let level_bounds = oracle
-                .and_then(|o| o.share.map(|s| s.store.point_levels(o.point)))
-                .unwrap_or_default();
             c.insert(
                 k,
-                CacheEntry {
-                    scalars: PointScalars {
-                        speedup: point.speedup,
-                        makespan_seconds: point.makespan_seconds,
-                        energy_joules: point.energy_joules,
-                        avg_wlp: point.avg_wlp,
-                        gap: point.gap,
-                    },
-                    level_bounds,
+                PointScalars {
+                    speedup: point.speedup,
+                    makespan_seconds: point.makespan_seconds,
+                    energy_joules: point.energy_joules,
+                    avg_wlp: point.avg_wlp,
+                    gap: point.gap,
                 },
             );
         }
@@ -1118,8 +1028,8 @@ pub fn evaluate_space(
 }
 
 /// Like [`evaluate_space`], additionally reporting how much work the
-/// memoization cache and cross-point bound sharing saved, and where the
-/// sweep's wall clock went.
+/// memoization cache, bound termination and baseline reuse saved, and
+/// where the sweep's wall clock went.
 ///
 /// # Errors
 ///
@@ -1267,9 +1177,7 @@ struct ParetoCacheEntry {
 /// deterministic, and results are slotted by input index. Memoization
 /// composes exactly as in [`evaluate_space`] (instance-trajectory keys,
 /// disabled by non-replay-safe budgets), and [`SweepBudgets`] mints the
-/// same per-point budgets. Cross-point bound sharing does not apply:
-/// ladder rungs solve under per-rung energy caps, which the store's
-/// makespan-family keying excludes by construction.
+/// same per-point budgets.
 ///
 /// # Errors
 ///
@@ -1476,8 +1384,8 @@ fn sweep_inner(
     } else {
         SolveCache::for_model(workload, constraints, model, config)
     };
-    // Baseline reuse shares the transparency conditions of bound sharing
-    // (heuristic-only solves consume external bounds invisibly) plus
+    // Baseline reuse needs heuristic-only solves (they consume external
+    // bounds invisibly; an exact phase would change its search) plus
     // replay-safe budgets (a node/deadline budget shifts where skipped
     // work would expire it, and identity replay needs full determinism;
     // a cancel token alone perturbs nothing until it trips, and a replay
@@ -1489,31 +1397,8 @@ fn sweep_inner(
             && solver_budget_replay_safe(&config.solver.budget)
     });
     let baseline_key = sweep_config_key(config);
-
-    // Bound sharing applies to HILP sweeps with heuristic-only solver
-    // configurations: with an exact phase the external bounds would change
-    // its search (root bound, reported bound), breaking the guarantee that
-    // sharing never alters results. All constraints are shared, so the
-    // lattice reduces to SoC machine-multiset dominance. The store is
-    // keyed by objective *by construction*: one sweep has one objective,
-    // and it must be makespan-family — under the shared energy cap a
-    // dominated point's schedules still embed into its dominator (same
-    // modes, same energy), so bounds transfer; under `Energy`/`Edp` the
-    // solved mode restriction differs per SoC and the embedding fails.
-    let share = (config.share_bounds
-        && model == ModelKind::Hilp
-        && config.solver.exact_node_budget == 0
-        && bounds_transfer_between(config.solver.objective, config.solver.objective)
-        && socs.len() > 1)
-        .then(|| ShareState {
-            lattice: DominanceLattice::build(socs),
-            store: BoundStore::new(socs.len(), config.policy.max_refinements as usize + 1),
-        });
     let counters = SweepCounters::default();
-    let order = share
-        .as_ref()
-        .map_or_else(|| (0..socs.len()).collect(), |s| s.lattice.order().to_vec());
-    let queue = WorkQueue::new(order, threads);
+    let queue = WorkQueue::new((0..socs.len()).collect(), threads);
     let budgeter = SweepBudgeter::new(&config.budgets, threads, socs.len());
 
     type Slot = Option<(Result<DesignPoint, HilpError>, f64, Option<BudgetKind>)>;
@@ -1524,7 +1409,6 @@ fn sweep_inner(
             let queue = &queue;
             let results = &results;
             let cache = cache.as_ref();
-            let share = share.as_ref();
             let counters = &counters;
             let budgeter = budgeter.as_ref();
             let tel = &config.solver.telemetry;
@@ -1537,19 +1421,12 @@ fn sweep_inner(
                     }
                     // Identity tier: unchanged inputs under a matching
                     // configuration replay the recorded result verbatim.
-                    // The recorded levels are republished for dominated
-                    // points (they were proven for exactly these
-                    // instances) and re-recorded when this sweep is
-                    // itself building a baseline.
+                    // The recorded levels are re-recorded when this sweep
+                    // is itself building a baseline.
                     if let Some((point, rec)) = baseline
                         .and_then(|b| b.replay(i, &socs[i], workload, constraints, baseline_key))
                     {
                         counters.delta_identity.fetch_add(1, Ordering::Relaxed);
-                        if let Some(share) = share {
-                            for level in &rec.levels {
-                                share.store.publish(i, level.level as usize, level.bound);
-                            }
-                        }
                         if let Some(recorder) = recorder {
                             for level in &rec.levels {
                                 recorder.record(i, level.clone());
@@ -1570,7 +1447,6 @@ fn sweep_inner(
                         continue;
                     }
                     let oracle = PointOracle {
-                        share,
                         baseline,
                         recorder,
                         counters,
@@ -1600,7 +1476,7 @@ fn sweep_inner(
                         model,
                         point_config,
                         cache,
-                        Some(&oracle),
+                        &oracle,
                     );
                     let seconds = t0.elapsed().as_secs_f64();
                     let (point, solve_truncated, cached) = match outcome {
@@ -1665,8 +1541,6 @@ fn sweep_inner(
         cache_hits,
         threads_used: threads,
         parallelism_fallback,
-        bounds_shared: share.is_some(),
-        lattice_edges: share.as_ref().map_or(0, |s| s.lattice.edges()),
         levels_solved: counters.levels_solved.into_inner(),
         bound_inherited_levels: counters.inherited_levels.into_inner(),
         bound_tightening_histogram: counters.tightening.map(AtomicUsize::into_inner),
@@ -1677,7 +1551,6 @@ fn sweep_inner(
         truncated_points: point_truncations.iter().flatten().count(),
         point_truncations,
         delta_identity_points,
-        delta_certified_levels: counters.delta_certified.into_inner(),
     };
     Ok((points, stats))
 }
@@ -1698,7 +1571,6 @@ mod tests {
             },
             threads: 2,
             memoize: true,
-            share_bounds: true,
             ..SweepConfig::default()
         }
     }
@@ -1767,7 +1639,7 @@ mod tests {
         assert_eq!(stats.delta_identity_points, 0);
         // ...but the tightening delta lets every recorded bound transfer.
         assert!(
-            stats.delta_certified_levels > 0,
+            stats.bound_inherited_levels > 0,
             "no level accepted a certificate"
         );
     }
@@ -1794,7 +1666,7 @@ mod tests {
             evaluate_space_with_stats(&w, &socs, &edited, ModelKind::Hilp, &delta_config).unwrap();
         assert_eq!(delta, scratch);
         assert_eq!(stats.delta_identity_points, 0);
-        assert_eq!(stats.delta_certified_levels, 0);
+        assert_eq!(stats.bound_inherited_levels, 0);
     }
 
     #[test]
@@ -2114,7 +1986,7 @@ mod tests {
             evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &delta_cfg).unwrap();
         assert_eq!(delta, scratch);
         assert_eq!(stats.delta_identity_points, 0);
-        assert_eq!(stats.delta_certified_levels, 0);
+        assert_eq!(stats.bound_inherited_levels, 0);
     }
 
     #[test]
@@ -2231,7 +2103,6 @@ mod tests {
         .unwrap();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.solves, 2);
-        assert!(!stats.bounds_shared);
     }
 
     #[test]
@@ -2245,39 +2116,6 @@ mod tests {
         cfg.threads = 4;
         let parallel = evaluate_space(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn bound_sharing_is_transparent_and_tracked() {
-        // A chain of dominating SoCs: sharing must kick in, record
-        // inheritance, and leave every reported value bit-identical.
-        let w = Workload::rodinia(WorkloadVariant::Default);
-        let socs = vec![
-            SocSpec::new(4).with_gpu(16),
-            SocSpec::new(2).with_gpu(16),
-            SocSpec::new(2),
-            SocSpec::new(1),
-        ];
-        let c = Constraints::unconstrained();
-        let mut cfg = tiny_config();
-        cfg.threads = 1;
-        cfg.share_bounds = true;
-        let (shared, stats) =
-            evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
-        cfg.share_bounds = false;
-        let (isolated, isolated_stats) =
-            evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
-        assert_eq!(shared, isolated, "sharing changed reported results");
-        assert!(stats.bounds_shared);
-        assert!(!isolated_stats.bounds_shared);
-        assert!(stats.lattice_edges >= 5, "chain has at least 5 edges");
-        assert!(stats.levels_solved >= socs.len());
-        assert!(
-            stats.bound_inherited_levels > 0,
-            "a dominance chain must inherit bounds"
-        );
-        assert_eq!(stats.point_seconds.len(), socs.len());
-        assert!(stats.inheritance_hit_rate() > 0.0);
     }
 
     #[test]
@@ -2463,7 +2301,6 @@ mod csv_tests {
             },
             threads: 1,
             memoize: true,
-            share_bounds: true,
             ..SweepConfig::default()
         };
         let points = evaluate_space(

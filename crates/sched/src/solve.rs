@@ -176,8 +176,8 @@ pub struct SolveStats {
 
 /// Optional cross-solve inputs for [`solve_with_hints`]: information a
 /// caller learned from *other* solves (a coarser discretization of the same
-/// workload, or a dominating design point in a DSE sweep) that can shrink
-/// this solve's work.
+/// workload, or a recorded parent instance that this one tightens) that
+/// can shrink this solve's work.
 ///
 /// Soundness contract: `external_lower_bound` must be a true lower bound on
 /// *this* instance's optimal makespan, and `warm_incumbent` must be (or be
@@ -197,8 +197,8 @@ pub struct SolveHints<'a> {
     /// heuristic-only solve, so heuristic outcomes are bit-identical with
     /// and without it.
     pub external_lower_bound: Option<u32>,
-    /// Feasible schedule for this instance (e.g. lifted from a dominated
-    /// design point). Adopted as the incumbent when strictly better than
+    /// Feasible schedule for this instance (e.g. a coarser tick's schedule
+    /// lifted onto this one). Adopted as the incumbent when strictly better than
     /// the heuristic's result; fails `Schedule::verify` quietly otherwise.
     /// Unlike the other hints this can change the returned schedule, so
     /// result-deterministic sweeps must not pass it.

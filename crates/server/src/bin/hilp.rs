@@ -63,6 +63,7 @@ use hilp_dse::experiments::{
     fig5c_dark_silicon, fig6_wlp_comparison, fig7_space, fig8a_power_constrained,
     fig8b_dsa_advantage, scheduler_quality_ablation, table2_rows, table3_rows,
 };
+use hilp_dse::specfile::{MAX_CPUS, MAX_DSAS, MAX_DSA_PES, MAX_GPU_SMS};
 use hilp_dse::{design_space, ModelKind, SweepBudgets, SweepConfig};
 use hilp_server::{Client, JobSpec, Request, SubmitRequest};
 use hilp_soc::{Constraints, SocSpec};
@@ -79,6 +80,31 @@ fn usage() -> ExitCode {
          [--tenant NAME] [--model hilp|ma|gables] [--step N] [--spec FILE]"
     );
     ExitCode::from(2)
+}
+
+/// Parses `eval`'s positional `<cpus> <gpu_sms> <dsas> <pes>`. A missing
+/// argument reads as 0, and zero CPU cores or PEs as 1; non-numeric values
+/// and values above the spec-file limits are refused with a message that
+/// names the argument.
+fn parse_eval_args(args: &[&str]) -> Result<[u32; 4], String> {
+    let limits = [
+        ("cpus", MAX_CPUS),
+        ("gpu_sms", MAX_GPU_SMS),
+        ("dsas", MAX_DSAS as u32),
+        ("pes", MAX_DSA_PES),
+    ];
+    let mut values = [0u32; 4];
+    for (value, (&text, (name, max))) in values.iter_mut().zip(args.iter().zip(limits)) {
+        let parsed: u64 = text
+            .parse()
+            .map_err(|_| format!("eval: {name} must be a non-negative integer, got {text:?}"))?;
+        *value = u32::try_from(parsed)
+            .ok()
+            .filter(|&v| v <= max)
+            .ok_or_else(|| format!("eval: {name} = {parsed} exceeds the limit of {max}"))?;
+    }
+    let [cpus, gpu, dsas, pes] = values;
+    Ok([cpus.max(1), gpu, dsas, pes.max(1)])
 }
 
 fn main() -> ExitCode {
@@ -238,13 +264,7 @@ fn main() -> ExitCode {
         let _root_span = telemetry.span("cli.main");
         match command {
             "eval" => {
-                let parse = |i: usize| -> u32 {
-                    positional
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_default()
-                };
-                let (cpus, gpu, dsas, pes) = (parse(1).max(1), parse(2), parse(3), parse(4).max(1));
+                let [cpus, gpu, dsas, pes] = parse_eval_args(&positional[1..])?;
                 let mut soc = SocSpec::new(cpus).with_gpu(gpu);
                 for dsa in hilp_dse::space::dsa_allocation(dsas as usize, pes, 4.0) {
                     soc = soc.with_dsa(dsa);

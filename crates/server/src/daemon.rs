@@ -68,7 +68,7 @@ impl Default for ServerConfig {
 
 /// The sweep configuration every server job runs under: exactly the
 /// committed `BENCH_sweep.json` configuration (event timetable, serial
-/// multi-start, memoization, bound sharing via the defaults), so
+/// multi-start, memoization, bound termination), so
 /// streamed makespans diff cleanly against the committed baseline.
 /// Thread counts are layered on per job — they are result-invariant.
 #[must_use]

@@ -803,9 +803,8 @@ fn parse_record(line: &str) -> Result<Record, String> {
 ///
 /// 1. incumbent values never increase (each one improves on the last),
 /// 2. `combinatorial`/`proved` bound values never decrease (knowledge
-///    only tightens; `external` bounds are excluded because a
-///    dominator's inherited bound may be weaker than this instance's
-///    own), and
+///    only tightens; `external` bounds are excluded because an injected
+///    bound may be weaker than this instance's own), and
 /// 3. every bound is at most the final incumbent (bounds stay sound).
 ///
 /// Journals covering several independent solves (a sweep) interleave

@@ -77,8 +77,8 @@ pub enum IncumbentSource {
 pub enum BoundSource {
     /// The instance's own combinatorial bound.
     Combinatorial,
-    /// A bound inherited from another solve (e.g. a dominating design
-    /// point); may be weaker than the combinatorial bound.
+    /// A bound inherited from another solve (e.g. a recorded baseline's
+    /// certificate); may be weaker than the combinatorial bound.
     External,
     /// The final bound proven by this solve.
     Proved,

@@ -21,7 +21,8 @@
 //! runs the delta differential: a random single-axis perturbation answered
 //! the way the what-if paths answer it (identity replay, or the parent's
 //! proven bound handed to the solver) must match a from-scratch solve bit
-//! for bit.
+//! for bit, and a transferred bound must not exceed the brute-force
+//! optimum of a child small enough to enumerate.
 //!
 //! `--delta` switches to a delta-only corpus (the gating `delta-oracle` CI
 //! job): every case is an instance + perturbation pair, alternating tiny

@@ -18,6 +18,7 @@ use hilp_sched::{
     SolveOutcome, SolverConfig, TaskId,
 };
 
+use crate::brute_force::{brute_force_makespan, MAX_BRUTE_FORCE_TASKS};
 use crate::harness::{CheckStats, Disagreement};
 
 /// Which single axis a [`Perturbation`] nudges.
@@ -237,7 +238,11 @@ pub fn apply_perturbation(instance: &Instance, p: &Perturbation) -> Instance {
 ///   bit for bit, down to the schedule (the bound-transfer certificate).
 ///   Both child solves run heuristic-only (`config` with its exact phase
 ///   switched off), the only configuration where the hint is transparent;
-///   the parent's bound comes from `config` as given.
+///   the parent's bound comes from `config` as given. When the child is
+///   small enough to brute-force, the transferred bound must also be at
+///   most the child's true optimum: a bound that overshoots it only
+///   changes a heuristic solve when no start happens to hit the optimum
+///   first, so the bit-identity comparison alone rarely notices it.
 /// * Otherwise nothing of the parent is reused, so there is nothing to
 ///   compare; the case is only counted.
 ///
@@ -268,6 +273,23 @@ pub fn check_delta(
         ("delta-identity", Ok(parent_outcome.clone()), config.clone())
     } else if delta.bounds_transfer() {
         stats.delta_bound_transferred += 1;
+        if child.num_tasks() <= MAX_BRUTE_FORCE_TASKS {
+            stats.delta_bound_soundness += 1;
+            // An infeasible child has no optimum to undercut.
+            if let Some(optimum) = brute_force_makespan(&child) {
+                if parent_outcome.lower_bound > optimum {
+                    return Err(Disagreement::new(
+                        "delta-bound-soundness",
+                        &child,
+                        format!(
+                            "{:?} perturbation ({:?} delta): the transferred parent bound {} \
+                             exceeds the child's brute-force optimum {optimum}",
+                            perturbation.axis, delta.class, parent_outcome.lower_bound,
+                        ),
+                    ));
+                }
+            }
+        }
         // A transferred bound is transparent only to heuristic-only
         // solves. It may still come from an exact parent solve: recorded
         // baselines carry proven bounds across solver configurations, and
@@ -364,6 +386,10 @@ mod tests {
         assert!(
             stats.delta_bound_transferred > 0,
             "no parent bound was ever transferred"
+        );
+        assert!(
+            stats.delta_bound_soundness > 0,
+            "no transferred bound was checked against brute force"
         );
     }
 }

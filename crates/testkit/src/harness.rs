@@ -111,6 +111,9 @@ pub struct CheckStats {
     /// Delta cases whose parent bound transfers: the solve hinted with
     /// the parent's proven bound must match the scratch solve.
     pub delta_bound_transferred: u64,
+    /// Transferred parent bounds checked against the child's brute-force
+    /// optimum (children of at most [`MAX_BRUTE_FORCE_TASKS`] tasks).
+    pub delta_bound_soundness: u64,
     /// Delta cases where the shortcut and the scratch solve agreed the
     /// child is infeasible.
     pub delta_infeasible_agreed: u64,
@@ -152,6 +155,7 @@ impl CheckStats {
         self.delta_checked += other.delta_checked;
         self.delta_identity += other.delta_identity;
         self.delta_bound_transferred += other.delta_bound_transferred;
+        self.delta_bound_soundness += other.delta_bound_soundness;
         self.delta_infeasible_agreed += other.delta_infeasible_agreed;
         self.delta_skipped += other.delta_skipped;
         self.energy_checked += other.energy_checked;
@@ -167,7 +171,8 @@ impl CheckStats {
             "{} cases: {} feasible, {} infeasible-agreed, {} brute-forced ({} proved optimal), \
              milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} representation-replayed, \
              {} parallel-replayed, budgeted {} ({} truncated), pipeline {} encoded / {} skipped, \
-             delta {} ({} identity, {} bound-transferred, {} infeasible-agreed, {} skipped), \
+             delta {} ({} identity, {} bound-transferred, {} bound-soundness, \
+             {} infeasible-agreed, {} skipped), \
              energy {} ({} pareto, {} capped, {} restriction-infeasible)",
             self.cases,
             self.feasible,
@@ -188,6 +193,7 @@ impl CheckStats {
             self.delta_checked,
             self.delta_identity,
             self.delta_bound_transferred,
+            self.delta_bound_soundness,
             self.delta_infeasible_agreed,
             self.delta_skipped,
             self.energy_checked,

@@ -35,9 +35,7 @@ const MODELS: [ModelKind; 3] = [ModelKind::MultiAmdahl, ModelKind::Gables, Model
 
 /// The exact configuration `sweep_timing` used for the committed run (its
 /// `optimized_config`): event timetable, serial multi-start, memoization,
-/// and — via the `SweepConfig` defaults — cross-point bound sharing. The
-/// subsample below therefore re-runs *with sharing enabled*, gating that
-/// sharing leaves every committed makespan in place.
+/// and bound termination.
 fn committed_config() -> SweepConfig {
     SweepConfig {
         solver: SolverConfig {

@@ -27,7 +27,6 @@ fn fast_sweep() -> SweepConfig {
         solver: fast_solver(),
         threads: 0,
         memoize: true,
-        share_bounds: true,
         ..SweepConfig::default()
     }
 }

@@ -40,7 +40,7 @@ const TOLERANCE: f64 = 1e-9;
 
 /// The exact configuration `sweep_timing` used for the committed run (its
 /// `optimized_config`): event timetable, serial multi-start, memoization,
-/// and — via the `SweepConfig` defaults — cross-point bound sharing.
+/// and bound termination.
 fn committed_config() -> SweepConfig {
     SweepConfig {
         solver: SolverConfig {

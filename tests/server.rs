@@ -204,6 +204,27 @@ fn oversized_spec_is_rejected_and_the_daemon_keeps_serving() {
     assert_eq!(outcome.event, "finished", "{outcome:?}");
 }
 
+#[test]
+fn cli_eval_refuses_non_numeric_and_oversized_arguments() {
+    // Refused during argument parsing, before any SoC is built: an
+    // oversized core count would otherwise size per-core tables.
+    for (args, named) in [
+        (["abc", "0", "0", "1"], "cpus"),
+        (["4000000000", "0", "0", "1"], "cpus"),
+        (["1", "70000", "0", "1"], "gpu_sms"),
+        (["1", "0", "1", "x"], "pes"),
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_hilp"))
+            .arg("eval")
+            .args(args)
+            .output()
+            .expect("run hilp");
+        assert_eq!(output.status.code(), Some(2), "hilp eval {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(named), "hilp eval {args:?}: {stderr}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
